@@ -94,54 +94,6 @@ std::string apply_simd_arg(std::int64_t arg) {
   return std::string("/simd:") + linalg::simd_level_name(level);
 }
 
-// A/B of the fused single-sweep iteration kernels against the retained
-// stage-by-stage reference path (arg 1: 0 = reference, 1 = fused; arg 2:
-// 0 = scalar kernels, 1 = highest supported SIMD level). All double-kernel
-// combinations compute bitwise-identical iterates
-// (tests/lcp/mmsim_fused_test.cpp, tests/lcp/mmsim_simd_test.cpp), so the
-// ratios are pure kernel-structure / vector-width speedup.
-void BM_MmsimFusedVsUnfused(benchmark::State& state) {
-  db::Design design = cached_design(static_cast<std::size_t>(state.range(0)));
-  const legal::RowAssignment rows = legal::assign_rows(design);
-  const legal::LegalizationModel model = legal::build_model(design, rows);
-  lcp::MmsimOptions options;
-  options.max_iterations = 100;  // fixed budget: measures per-iteration cost
-  options.tolerance = 0.0;
-  options.residual_check = false;
-  options.fused = state.range(1) != 0;
-  const std::string simd = apply_simd_arg(state.range(2));
-  const lcp::MmsimSolver solver(model.qp, options);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(solver.solve());
-  }
-  state.SetComplexityN(state.range(0));
-  state.SetLabel((options.fused ? "fused" : "reference") + simd);
-}
-BENCHMARK(BM_MmsimFusedVsUnfused)
-    ->ArgsProduct({{8000, 32000, 64000}, {0, 1}, {0, 1}});
-
-// Wall-clock to convergence of the full-double iterate against the opt-in
-// mixed-precision iterate (float32 fused half-steps, float64 residual
-// checkpoints, double polish; arg 1: 0 = double, 1 = mixed). Mixed has no
-// bitwise contract — the deliverable is the same converged placement to
-// solver tolerance in less time, so this measures end-to-end solve
-// seconds, not per-iteration cost.
-void BM_MmsimPrecision(benchmark::State& state) {
-  db::Design design = cached_design(static_cast<std::size_t>(state.range(0)));
-  const legal::RowAssignment rows = legal::assign_rows(design);
-  const legal::LegalizationModel model = legal::build_model(design, rows);
-  lcp::MmsimOptions options;
-  options.precision = state.range(1) != 0 ? lcp::MmsimPrecision::kMixed
-                                          : lcp::MmsimPrecision::kDouble;
-  const lcp::MmsimSolver solver(model.qp, options);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(solver.solve());
-  }
-  state.SetComplexityN(state.range(0));
-  state.SetLabel(state.range(1) != 0 ? "mixed" : "double");
-}
-BENCHMARK(BM_MmsimPrecision)->ArgsProduct({{8000, 64000}, {0, 1}});
-
 // CSR sparse engine: one fused two-vector traversal (multiply_add2) against
 // the two sequential single-vector products it replaces — the access
 // pattern of the MMSIM rhs accumulation. arg 1: 0 = sequential pair,

@@ -39,34 +39,6 @@
 
 namespace mch::lcp {
 
-/// Default for MmsimOptions::fused: false when the MCH_FUSED_KERNELS
-/// environment variable is "0"/"off"/"false", true otherwise. The fused
-/// kernels are bitwise identical to the reference path, so the knob exists
-/// for A/B benchmarking and the .fused-off ctest variant, not correctness.
-bool fused_kernels_default();
-
-/// Arithmetic precision of the splitting iterate.
-enum class MmsimPrecision {
-  /// Full float64 iteration — the bitwise-deterministic reference. Always
-  /// what the `match`/`.mt4`/`.part` contracts run on.
-  kDouble,
-  /// Opt-in mixed mode (ALGORITHM.md ¶13): the bulk of the iteration runs
-  /// the fused sweeps in float32 (twice the SIMD lanes, half the memory
-  /// traffic), a float64 scaled-residual check runs every
-  /// MmsimOptions::mixed_check_interval iterations, and the solve always
-  /// finishes with full-precision double iterations ("polish") under the
-  /// unchanged stopping rule — so the *accepted* solution is validated
-  /// entirely in float64. No bitwise contract: iterates depend on the
-  /// float32 trajectory. Requires the fused gather2 path; solvers that
-  /// don't qualify (reference mode, wide rows) silently run kDouble.
-  kMixed,
-};
-
-/// Default for MmsimOptions::precision: kMixed when the MCH_PRECISION
-/// environment variable is "mixed", kDouble otherwise ("double", unset, or
-/// unrecognized — the latter with a warning).
-MmsimPrecision precision_default();
-
 /// Which splitting builds M (ablation of the paper's Eq. 16 choice).
 enum class MmsimSplitting {
   /// The paper's block-Gauss-Seidel form: M = [K/β* 0; B D/θ*] — the dual
@@ -99,18 +71,6 @@ struct MmsimOptions {
   /// Record ‖z⁽ᵏ⁾ − z⁽ᵏ⁻¹⁾‖∞ every `trace_stride` iterations into
   /// MmsimResult::trace (0 = off). Used by the convergence bench/plots.
   std::size_t trace_stride = 0;
-  /// Run the fused single-sweep iteration kernels (two parallel sweeps per
-  /// half-step, no abs1/abs2/rhs1 intermediates) instead of the retained
-  /// stage-by-stage reference path. Both produce bitwise-identical iterates
-  /// at every thread count; fused is ~2× faster on large systems.
-  bool fused = fused_kernels_default();
-  /// Iterate precision (see MmsimPrecision). Mixed mode engages only on
-  /// fused gather2-eligible solvers; everything else runs kDouble.
-  MmsimPrecision precision = precision_default();
-  /// Mixed mode: float32 iterations between two float64 scaled-residual
-  /// checks. Each check promotes the iterate and runs one full residual
-  /// evaluation, so the interval trades check latency against overshoot.
-  std::size_t mixed_check_interval = 32;
 };
 
 /// Wall-clock breakdown of a solve by kernel phase, accumulated across
@@ -123,17 +83,14 @@ struct MmsimPhaseTimes {
   double spmv_seconds = 0.0;       ///< standalone matrix products + block solves
   double thomas_seconds = 0.0;     ///< tridiagonal (D/θ* + I) solves
   double reduction_seconds = 0.0;  ///< delta folds of the stopping rule
-  double mixed_seconds = 0.0;      ///< float32 iterations of mixed mode
   double total() const {
-    return kernel_seconds + spmv_seconds + thomas_seconds +
-           reduction_seconds + mixed_seconds;
+    return kernel_seconds + spmv_seconds + thomas_seconds + reduction_seconds;
   }
   void accumulate(const MmsimPhaseTimes& other) {
     kernel_seconds += other.kernel_seconds;
     spmv_seconds += other.spmv_seconds;
     thomas_seconds += other.thomas_seconds;
     reduction_seconds += other.reduction_seconds;
-    mixed_seconds += other.mixed_seconds;
   }
 };
 
@@ -146,9 +103,6 @@ struct MmsimResult {
   Vector s;
   MmsimPhaseTimes phase;      ///< per-phase timing (see MmsimPhaseTimes)
   std::size_t iterations = 0;
-  /// How many of `iterations` ran in float32 (0 outside mixed mode). The
-  /// remainder is the double-precision polish.
-  std::size_t mixed_iterations = 0;
   bool converged = false;
   double final_delta = 0.0;   ///< last ‖z⁽ᵏ⁾ − z⁽ᵏ⁻¹⁾‖∞
   double setup_seconds = 0.0;
@@ -205,12 +159,11 @@ class MmsimSolver {
     friend class MmsimSolver;
     Vector s1, s2;            ///< splitting state, primal / dual parts
     Vector z_prev;
-    Vector abs1, abs2, rhs1, rhs2, new_s1, new_s2;  ///< scratch
+    Vector rhs2, new_s1, new_s2;  ///< scratch
     Vector thomas_d;          ///< Thomas forward-sweep scratch
-    /// Float32 shadow of the splitting state + scratch, touched only by
-    /// mixed mode's prelude (sized lazily there, capacity reused).
-    linalg::AlignedVector<float> fs1, fs2, fnew_s1, fnew_s2;
-    linalg::AlignedVector<float> fz, frhs2, fthomas_d;
+    /// step_reference() intermediates, sized on its first call so the
+    /// production step never allocates them.
+    Vector abs1, abs2, rhs1;
   };
 
   /// Fresh state at s⁽⁰⁾ = 0.
@@ -230,8 +183,16 @@ class MmsimSolver {
 
   /// Advances one modulus iteration and returns ‖z⁽ᵏ⁾ − z⁽ᵏ⁻¹⁾‖∞. The
   /// caller owns the stopping rule (solve_from() applies the tolerance +
-  /// residual_check policy in MmsimOptions).
+  /// residual_check policy in MmsimOptions). Runs the fused single-sweep
+  /// kernels: two parallel sweeps per half-step, no |s| or rhs intermediates.
   double step(State& state) const;
+
+  /// The stage-by-stage iteration, one matrix product or element-wise stage
+  /// at a time — the test oracle that step() must reproduce bit for bit on
+  /// z, x and dual at every thread count and SIMD level
+  /// (tests/lcp/mmsim_fused_test, tests/lcp/mmsim_simd_test). Not used by
+  /// any solve.
+  double step_reference(State& state) const;
 
   /// Residual maxima of z for the scaled stopping test; combine across
   /// sub-problems with merge_max, decide with residual_ok.
@@ -261,26 +222,11 @@ class MmsimSolver {
   /// True when the scaled LCP residual of z is below residual_tolerance.
   bool scaled_residual_ok(const Vector& z) const;
 
-  /// The retained stage-by-stage iteration (opts_.fused == false).
-  double step_reference(State& state) const;
-  /// The fused single-sweep iteration; bitwise equal to step_reference.
-  double step_fused(State& state) const;
-  /// step_fused body, specialized on whether the fixed-width-2 gather
+  /// step() body, specialized on whether the fixed-width-2 gather
   /// tables are in use (kGather2 = true compiles the B/Bᵀ gathers as
   /// constant-trip-count loops with no per-row branch).
   template <bool kGather2>
   double step_fused_impl(State& state) const;
-  /// One float32 fused iteration of mixed mode; returns the float delta.
-  float step_mixed(State& state) const;
-  /// Copies the float32 iterate back into the double state (s1/s2 and the
-  /// modulus image z), so float64 checks and the polish see it.
-  void promote_mixed(State& state) const;
-  /// The float32 phase of mixed mode: seeds the float shadow from the
-  /// double state, iterates step_mixed with a float64 scaled-residual check
-  /// every mixed_check_interval iterations, and stops on float convergence,
-  /// residual stall, or budget — leaving the promoted iterate in `state`
-  /// for the double polish that follows.
-  void run_mixed_prelude(State& state, MmsimResult& result) const;
   /// Iteration loop + result packaging shared by solve_from()/solve_in().
   MmsimResult run_loop(State& state) const;
 
@@ -315,11 +261,10 @@ class MmsimSolver {
   bool gather2_ = false;
   const linalg::CsrGather2* bt_g2_ = nullptr;
   const linalg::CsrGather2* b_g2_ = nullptr;
-  /// Flattened copies of the non-1×1 K blocks for the fused block sweep
-  /// (built only for fused solvers). Block g of general_block_indices()
-  /// owns gb_vals_[gb_data_[g] .. gb_data_[g] + 2·bn²): its K block
-  /// (row-major, bn = gb_dim_[g]) followed by the block's inverse from
-  /// shifted_k_. One contiguous stream instead of two heap-scattered
+  /// Flattened copies of the non-1×1 K blocks for the fused block sweep.
+  /// Block g of general_block_indices() owns
+  /// gb_vals_[gb_data_[g] .. gb_data_[g] + 2·bn²): its K block (row-major,
+  /// bn = gb_dim_[g]) followed by the block's inverse from shifted_k_. One contiguous stream instead of two heap-scattered
   /// DenseMatrix objects per block — same values, same arithmetic order.
   std::vector<std::size_t> gb_off_;
   std::vector<std::uint32_t> gb_dim_;
@@ -327,18 +272,6 @@ class MmsimSolver {
   Vector gb_vals_;
   /// Largest non-1×1 block dimension — sizes the per-thread block scratch.
   std::size_t max_general_rows_ = 0;
-  /// Mixed mode engaged: precision == kMixed on a fused gather2-eligible
-  /// solver. When set, the float32 mirrors below are populated.
-  bool mixed_active_ = false;
-  /// Float32 copies of everything the float sweeps read: K scalar values
-  /// and shifted inverses, p, b, the split gather-slot values of Bᵀ and B
-  /// (columns are shared with the double tables), the flattened general
-  /// blocks, and the D bands + Thomas factor arrays of the dual solve.
-  linalg::AlignedVector<float> kv_f_, siv_f_, p_f_, b_f_;
-  linalg::AlignedVector<float> bt_v0f_, bt_v1f_, b_v0f_, b_v1f_;
-  linalg::AlignedVector<float> gb_vals_f_;
-  linalg::AlignedVector<float> diag_f_, lower_f_, upper_f_;
-  linalg::AlignedVector<float> c_prime_f_, inv_pivot_f_, g_f_;
   /// Collect MmsimPhaseTimes. Disabled for tiny systems, where the timer
   /// reads would rival the arithmetic (see MmsimPhaseTimes).
   bool profile_ = false;

@@ -47,7 +47,6 @@ class MmsimLcpSolver final : public LcpSolver {
     result.x = std::move(mmsim.x);
     result.dual = std::move(mmsim.dual);
     result.iterations = mmsim.iterations;
-    result.mixed_iterations = mmsim.mixed_iterations;
     result.converged = mmsim.converged;
     result.setup_seconds = mmsim.setup_seconds;
     result.solve_seconds = mmsim.solve_seconds;
@@ -193,8 +192,8 @@ const char* to_string(RecoveryRung rung) {
       return "primary";
     case RecoveryRung::kEscalated:
       return "escalated";
-    case RecoveryRung::kReference:
-      return "reference";
+    case RecoveryRung::kColdRestart:
+      return "cold_restart";
     case RecoveryRung::kPsor:
       return "psor";
     case RecoveryRung::kLemke:
@@ -283,16 +282,13 @@ RecoveredSolve solve_with_recovery(LcpSolverKind primary,
               /*warm=*/slot != nullptr))
     return out;
 
-  // Rung 2: the retained stage-by-stage MMSIM reference path, cold-started.
-  // The fused kernels are bitwise-contracted to it, so this rung is
-  // insurance against the contract being violated, not expected to differ.
-  if (primary != LcpSolverKind::kMmsim || escalated.mmsim.fused) {
-    LcpSolverConfig reference = escalated;
-    reference.mmsim.fused = false;
-    if (attempt(LcpSolverKind::kMmsim, reference, RecoveryRung::kReference,
-                /*warm=*/false))
-      return out;
-  }
+  // Rung 2: MMSIM with the escalated parameters, cold-started. Rung 1
+  // resumed from the failed iterate; a restart from s⁽⁰⁾ = 0 follows a
+  // different trajectory to the same fixed point, and for a non-MMSIM
+  // primary it is the first MMSIM attempt.
+  if (attempt(LcpSolverKind::kMmsim, escalated, RecoveryRung::kColdRestart,
+              /*warm=*/false))
+    return out;
 
   // Rung 3: PSOR, applicable to bound-constrained QPs the adapter can
   // afford to densify.

@@ -35,9 +35,6 @@ struct LcpSolveResult {
   Vector dual;  ///< multipliers of the spacing rows (empty for PSOR)
   /// MMSIM/PSOR iterations, or Lemke pivots.
   std::size_t iterations = 0;
-  /// Iterations the float32 MMSIM prelude contributed (counted inside
-  /// `iterations`; 0 for full-double solves and for PSOR/Lemke).
-  std::size_t mixed_iterations = 0;
   bool converged = false;
   /// True when the solve started from a matching warm-start payload in its
   /// workspace slot (MMSIM's s, PSOR's z). Always false for cold solves and
@@ -100,13 +97,13 @@ std::unique_ptr<LcpSolver> make_lcp_solver(LcpSolverKind kind,
 
 /// Which ladder rung produced the accepted result.
 enum class RecoveryRung {
-  kPrimary,    ///< the requested solver converged on the first attempt
-  kEscalated,  ///< retry with escalated parameters (θ re-probe, relaxed γ,
-               ///< multiplied iteration budget)
-  kReference,  ///< the retained stage-by-stage (unfused) MMSIM path
-  kPsor,       ///< PSOR fallback (bound-constrained components only)
-  kLemke,      ///< exact Lemke pivoting (small systems only)
-  kExhausted,  ///< no rung converged — the caller must degrade explicitly
+  kPrimary,      ///< the requested solver converged on the first attempt
+  kEscalated,    ///< retry with escalated parameters (θ re-probe, relaxed
+                 ///< γ, multiplied iteration budget)
+  kColdRestart,  ///< MMSIM with the escalated parameters from s⁽⁰⁾ = 0
+  kPsor,         ///< PSOR fallback (bound-constrained components only)
+  kLemke,        ///< exact Lemke pivoting (small systems only)
+  kExhausted,    ///< no rung converged — the caller must degrade explicitly
 };
 
 const char* to_string(RecoveryRung rung);
@@ -153,9 +150,9 @@ struct RecoveredSolve {
 };
 
 /// Solves the QP with the requested solver and, on failure, walks the
-/// escalation ladder: escalated-parameter retry of the primary solver, the
-/// unfused MMSIM reference path, then PSOR (m = 0) and Lemke (small
-/// systems) where applicable. The slot (optional) is used for buffer reuse
+/// escalation ladder: escalated-parameter retry of the primary solver, a
+/// cold MMSIM restart with those parameters, then PSOR (m = 0) and Lemke
+/// (small systems) where applicable. The slot (optional) is used for buffer reuse
 /// and warm starts exactly as LcpSolver::solve; escalated MMSIM retries
 /// warm-start from the failed iterate when a slot is present, so a budget
 /// exhaustion resumes instead of restarting.

@@ -14,7 +14,9 @@
 // iteration count, never the fixed point, so tiered results stay within
 // solver tolerance of the monolithic reference. The lockstep (kMatch) and
 // monolithic paths never warm-start — they are bitwise-contracted to the
-// cold-start reference.
+// cold-start reference. Payloads outlive a legalizer call only in a
+// caller-supplied arena (the session's); the legalizer's thread-local
+// default arena drops them on entry.
 //
 // Lifetime / thread-safety rules:
 //   * prepare() must run with no solve in flight; it only grows the table.

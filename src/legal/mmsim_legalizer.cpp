@@ -145,7 +145,6 @@ SolveOutcome solve_monolithic(const LegalizationModel& model,
                    << " iterations (delta " << result.final_delta << ")";
   }
   stats.phase.accumulate(result.phase);
-  stats.mixed_iterations += result.mixed_iterations;
   SolveOutcome outcome;
   outcome.x = std::move(result.x);
   outcome.iterations = result.iterations;
@@ -268,7 +267,6 @@ SolveOutcome solve_tiered(const LegalizationModel& model,
   // the failed pass instead of double-counting.
   stats.components_mmsim = stats.components_psor = stats.components_lemke = 0;
   stats.component_iterations = 0;
-  stats.mixed_iterations = 0;
   std::vector<lcp::LcpSolverKind> kinds(num);
   std::vector<lcp::LcpSolveResult> results(num);
   parallel_for(
@@ -318,7 +316,6 @@ SolveOutcome solve_tiered(const LegalizationModel& model,
         break;
     }
     stats.component_iterations += results[c].iterations;
-    stats.mixed_iterations += results[c].mixed_iterations;
     stats.phase.accumulate(results[c].phase);
     outcome.iterations = std::max(outcome.iterations, results[c].iterations);
     if (!results[c].converged) {
@@ -356,7 +353,6 @@ SolveOutcome solve_tiered_streamed(const LegalizationModel& model,
   workspace.prepare(num);
   stats.components_mmsim = stats.components_psor = stats.components_lemke = 0;
   stats.component_iterations = 0;
-  stats.mixed_iterations = 0;
 
   std::vector<std::size_t> order(num);
   for (std::size_t c = 0; c < num; ++c) order[c] = c;
@@ -424,7 +420,6 @@ SolveOutcome solve_tiered_streamed(const LegalizationModel& model,
         break;
     }
     stats.component_iterations += results[c].iterations;
-    stats.mixed_iterations += results[c].mixed_iterations;
     stats.phase.accumulate(results[c].phase);
     outcome.iterations = std::max(outcome.iterations, results[c].iterations);
     if (!results[c].converged) {
@@ -443,7 +438,8 @@ SolveOutcome solve_tiered_streamed(const LegalizationModel& model,
 /// Rungs 2+ of the escalation ladder: every component is routed through the
 /// per-component solver ladder (lcp::solve_with_recovery), so components
 /// that already converge pass straight through their primary solver while
-/// the failing ones walk escalated MMSIM → reference MMSIM → PSOR → Lemke.
+/// the failing ones walk escalated MMSIM → cold-restart MMSIM → PSOR →
+/// Lemke.
 /// Components whose ladder is exhausted degrade explicitly — their cells
 /// are set to row-assigned snap positions (gp_x clamped into the chip) and
 /// recorded as structured SolveFailures — never shipped as an unconverged
@@ -477,7 +473,6 @@ SolveOutcome recover_components(const db::Design& design,
   outcome.clamped_cells = std::move(report.clamped_cells);
 
   stats.phase.accumulate(report.phase);
-  stats.mixed_iterations += report.mixed_iterations;
   // Historical semantics: every component counts as routed through the
   // ladder here (the report itself only counts beyond-primary ladders).
   stats.recovery.component_ladders += num;
@@ -601,7 +596,6 @@ ComponentSolveReport solve_components(const db::Design& design,
       // released.
       report.iterations = std::max(report.iterations, rec.result.iterations);
       report.component_iterations += rec.result.iterations;
-      report.mixed_iterations += rec.result.mixed_iterations;
       report.phase.accumulate(rec.result.phase);
     }
   }
@@ -677,14 +671,6 @@ MmsimLegalizerStats mmsim_legalize_continuous(
   obs::sample_rss("model_build");
 
   lcp::MmsimOptions mmsim_options = options.mmsim;
-
-  // Mixed precision engages only under kTiered, whose components already
-  // terminate independently. kOff and kMatch carry the off↔match bitwise
-  // contract, which only the full-double iterate honors — forcing kDouble
-  // here keeps that contract intact even under MCH_PRECISION=mixed.
-  if (mode != PartitionMode::kTiered)
-    mmsim_options.precision = lcp::MmsimPrecision::kDouble;
-  stats.precision_used = mmsim_options.precision;
   stats.simd_level = linalg::simd_level();
 
   // Wall clock over the entire solve section — auto-θ probe, partitioning,
@@ -694,9 +680,6 @@ MmsimLegalizerStats mmsim_legalize_continuous(
   std::optional<obs::TraceSpan> solve_span;
   solve_span.emplace("legalize.solve");
   solve_span->arg("mode", to_string(mode))
-      .arg("precision", mmsim_options.precision == lcp::MmsimPrecision::kMixed
-                            ? "mixed"
-                            : "double")
       .arg("simd", linalg::simd_level_name(stats.simd_level));
   Timer solve_timer;
   if (options.auto_theta) {
@@ -714,8 +697,13 @@ MmsimLegalizerStats mmsim_legalize_continuous(
   // nested job blocks its submitter until it completes, it never interleaves
   // other legalize calls onto this thread. The drivers' own parallel chunks
   // may execute on any worker (stealable children), but each slot is only
-  // ever touched under its component index, so slots stay disjoint.
+  // ever touched under its component index, so slots stay disjoint. Its
+  // warm-start payloads were left by whatever this thread legalized last,
+  // so they are dropped on entry: a one-shot call must not depend on the
+  // thread's history. Warm starts within this call (the escalated retry)
+  // and from a caller-supplied arena (the session) are unaffected.
   static thread_local lcp::SolverWorkspace default_workspace;
+  if (options.workspace == nullptr) default_workspace.forget_warm_starts();
   lcp::SolverWorkspace& workspace =
       options.workspace != nullptr ? *options.workspace : default_workspace;
 
@@ -788,10 +776,6 @@ MmsimLegalizerStats mmsim_legalize_continuous(
     obs::counter("recovery.escalations").add();
     stats.recovery.extra_iterations += outcome.iterations;
     lcp::MmsimOptions escalated = mmsim_options;
-    // Recovery always runs full double: a solve that failed (or stalled
-    // out of) the mixed iterate must not retry with the same reduced
-    // precision that may have caused the failure.
-    escalated.precision = lcp::MmsimPrecision::kDouble;
     if (recovery.reprobe_theta && model.qp.num_constraints() > 0) {
       const MmsimSolver probe(model.qp, mmsim_options);
       escalated.theta = probe.suggest_theta();
@@ -813,10 +797,7 @@ MmsimLegalizerStats mmsim_legalize_continuous(
       ladder.forced_failures = recovery.forced_failures > attempts
                                    ? recovery.forced_failures - attempts
                                    : 0;
-      // Same full-double rule for the per-component ladder (see above).
-      lcp::MmsimOptions ladder_mmsim = mmsim_options;
-      ladder_mmsim.precision = lcp::MmsimPrecision::kDouble;
-      outcome = recover_components(design, model, partition, ladder_mmsim,
+      outcome = recover_components(design, model, partition, mmsim_options,
                                    options.policy, ladder, workspace, stats);
       theta_used = escalated.theta;
     }

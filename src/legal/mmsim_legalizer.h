@@ -125,8 +125,10 @@ struct MmsimLegalizerOptions {
   /// Solver scratch arena reused across components and across calls (see
   /// lcp/workspace.h). Not owned; must outlive the call. When null the
   /// legalizer uses a thread-local default arena, so repeated calls from
-  /// the same thread still reuse buffers. Pass an explicit arena to share
-  /// warm starts across call sites or to control its lifetime. Only the
+  /// the same thread still reuse buffers; its warm-start payloads are
+  /// dropped on entry, so the result does not depend on what the thread
+  /// legalized before. Pass an explicit arena to share warm starts across
+  /// call sites or to control its lifetime. Only the
   /// tiered mode warm-starts from the arena's previous solutions; kOff and
   /// kMatch use it for buffer reuse only, preserving their bitwise
   /// cold-start contracts.
@@ -206,13 +208,6 @@ struct MmsimLegalizerStats {
   /// kTiered this is the decomposition's headline saving: components stop
   /// independently instead of all running to the slowest one's count.
   std::size_t component_iterations = 0;
-  /// Iterations the float32 MMSIM prelude contributed, summed over
-  /// components (0 unless the mixed-precision iterate actually ran).
-  std::size_t mixed_iterations = 0;
-  /// The iterate precision that actually ran: the requested precision after
-  /// the mode gate (mixed is forced back to double outside kTiered and
-  /// inside the recovery ladder).
-  lcp::MmsimPrecision precision_used = lcp::MmsimPrecision::kDouble;
   /// Active SIMD dispatch level during the solve.
   linalg::SimdLevel simd_level = linalg::SimdLevel::kScalar;
   /// Per-phase MMSIM solve time summed over components in component order
@@ -252,7 +247,6 @@ struct ComponentSolveJob {
 struct ComponentSolveReport {
   std::size_t iterations = 0;            ///< max over jobs (critical path)
   std::size_t component_iterations = 0;  ///< summed over jobs
-  std::size_t mixed_iterations = 0;      ///< float32-prelude share, summed
   std::size_t components_mmsim = 0;
   std::size_t components_psor = 0;
   std::size_t components_lemke = 0;

@@ -337,8 +337,6 @@ void LegalizationSession::run_incremental(const legal::PartitionDelta& delta,
   result.solver.components_psor = report.components_psor;
   result.solver.components_lemke = report.components_lemke;
   result.solver.component_iterations = report.component_iterations;
-  result.solver.mixed_iterations = report.mixed_iterations;
-  result.solver.precision_used = solver_options.mmsim.precision;
   result.solver.simd_level = linalg::simd_level();
   result.solver.phase = report.phase;
   result.solver.recovery = report.recovery;

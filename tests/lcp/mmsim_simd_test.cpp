@@ -1,7 +1,8 @@
 // Bitwise-identity suite for the SIMD MMSIM sweeps: at every dispatch
 // level the CPU supports, the fused half-step kernels must reproduce the
-// scalar reference iteration bit for bit — iterate by iterate on z and the
-// convergence delta, and on the final solve results (ALGORITHM.md ¶13).
+// scalar oracle step_reference() bit for bit — iterate by iterate on z and
+// the convergence delta — and the final solve results of the scalar level
+// (ALGORITHM.md ¶13).
 // Registered again as ".mt4" (MCH_THREADS=4) so the contract holds through
 // the parallel runtime's chunked sweeps, and as ".simd-off" (MCH_SIMD=0)
 // where the loop below degenerates to scalar-vs-scalar.
@@ -34,15 +35,6 @@ std::vector<linalg::SimdLevel> simd_levels_above_scalar() {
   return levels;
 }
 
-/// The cross-level bitwise contract is a *double*-kernel contract (the
-/// float kernels of mixed mode carry none), so the suite pins kDouble
-/// instead of inheriting MCH_PRECISION from the environment.
-MmsimOptions double_options() {
-  MmsimOptions options;
-  options.precision = MmsimPrecision::kDouble;
-  return options;
-}
-
 class LevelGuard {
  public:
   LevelGuard() : entry_(linalg::simd_level()) {}
@@ -67,31 +59,44 @@ legal::LegalizationModel make_model(std::size_t singles, std::size_t doubles,
   return legal::build_model(design, rows);
 }
 
+/// Deltas and iterates of `iterations` oracle steps at the scalar level.
+struct ReferenceTrajectory {
+  std::vector<double> deltas;
+  std::vector<Vector> z;
+};
+
+ReferenceTrajectory scalar_reference(const MmsimSolver& solver,
+                                     std::size_t iterations) {
+  linalg::set_simd_level(linalg::SimdLevel::kScalar);
+  ReferenceTrajectory ref;
+  MmsimSolver::State state = solver.make_state();
+  for (std::size_t it = 0; it < iterations; ++it) {
+    ref.deltas.push_back(solver.step_reference(state));
+    ref.z.push_back(state.z);
+  }
+  return ref;
+}
+
 /// One solver, levels flipped between runs: dispatch is consulted at call
-/// time, so the same instance must produce the same bits at every level.
+/// time, so the same instance must produce the oracle's bits at every
+/// level, the scalar one included.
 void expect_stepwise_bitwise(const legal::LegalizationModel& model,
                              std::size_t iterations) {
   LevelGuard guard;
-  const MmsimSolver solver(model.qp, double_options());
+  const MmsimSolver solver(model.qp);
+  const ReferenceTrajectory ref = scalar_reference(solver, iterations);
 
-  linalg::set_simd_level(linalg::SimdLevel::kScalar);
-  MmsimSolver::State ref_state = solver.make_state();
-  std::vector<double> ref_deltas;
-  std::vector<Vector> ref_z;
-  for (std::size_t it = 0; it < iterations; ++it) {
-    ref_deltas.push_back(solver.step(ref_state));
-    ref_z.push_back(ref_state.z);
-  }
-
-  for (const linalg::SimdLevel level : simd_levels_above_scalar()) {
+  std::vector<linalg::SimdLevel> levels = simd_levels_above_scalar();
+  levels.insert(levels.begin(), linalg::SimdLevel::kScalar);
+  for (const linalg::SimdLevel level : levels) {
     ASSERT_EQ(linalg::set_simd_level(level), level);
     MmsimSolver::State state = solver.make_state();
     for (std::size_t it = 0; it < iterations; ++it) {
       const double delta = solver.step(state);
-      ASSERT_EQ(std::memcmp(&delta, &ref_deltas[it], sizeof(double)), 0)
+      ASSERT_EQ(std::memcmp(&delta, &ref.deltas[it], sizeof(double)), 0)
           << linalg::simd_level_name(level) << ": delta diverged at "
           << it;
-      ASSERT_TRUE(bitwise_equal(state.z, ref_z[it]))
+      ASSERT_TRUE(bitwise_equal(state.z, ref.z[it]))
           << linalg::simd_level_name(level) << ": z diverged at " << it;
     }
   }
@@ -114,7 +119,7 @@ TEST(MmsimSimdTest, StepwiseBitwiseTallBlocks) {
 TEST(MmsimSimdTest, SolveResultsBitwiseAcrossLevels) {
   LevelGuard guard;
   const legal::LegalizationModel model = make_model(500, 60, 0.7, 17);
-  MmsimOptions options = double_options();
+  MmsimOptions options;
   options.tolerance = 1e-8;
   options.max_iterations = 50000;
   const MmsimSolver solver(model.qp, options);
@@ -138,25 +143,23 @@ TEST(MmsimSimdTest, SolveResultsBitwiseAcrossLevels) {
   }
 }
 
-// The unfused (stage-by-stage) reference path also dispatches its CSR and
-// block-diagonal sweeps; the whole fused/unfused/SIMD cube must agree.
+// The unfused (stage-by-stage) oracle also dispatches its CSR and
+// block-diagonal sweeps, so it must itself be level-independent.
 TEST(MmsimSimdTest, UnfusedPathBitwiseAcrossLevels) {
   LevelGuard guard;
   const legal::LegalizationModel model = make_model(350, 50, 0.65, 29);
-  MmsimOptions options = double_options();
-  options.fused = false;
-  const MmsimSolver solver(model.qp, options);
-
-  linalg::set_simd_level(linalg::SimdLevel::kScalar);
-  const MmsimResult reference = solver.solve();
+  const MmsimSolver solver(model.qp);
+  constexpr std::size_t kIterations = 150;
+  const ReferenceTrajectory ref = scalar_reference(solver, kIterations);
 
   for (const linalg::SimdLevel level : simd_levels_above_scalar()) {
     ASSERT_EQ(linalg::set_simd_level(level), level);
-    const MmsimResult result = solver.solve();
-    EXPECT_EQ(result.iterations, reference.iterations)
-        << linalg::simd_level_name(level);
-    EXPECT_TRUE(bitwise_equal(result.z, reference.z))
-        << linalg::simd_level_name(level);
+    MmsimSolver::State state = solver.make_state();
+    for (std::size_t it = 0; it < kIterations; ++it) {
+      solver.step_reference(state);
+      ASSERT_TRUE(bitwise_equal(state.z, ref.z[it]))
+          << linalg::simd_level_name(level) << ": z diverged at " << it;
+    }
   }
 }
 

@@ -154,16 +154,6 @@ TEST(LcpSolverTest, MmsimAdapterHonorsCouplingBreaks) {
 
 // --- escalation ladder -----------------------------------------------------
 
-/// Ladder-shape tests pin fused kernels ON so the kReference (unfused) rung
-/// exists regardless of the ambient MCH_FUSED_KERNELS (.fused-off variant):
-/// with an already-unfused primary the ladder rightly skips that rung, which
-/// would shift every attempt count below.
-LcpSolverConfig fused_config() {
-  LcpSolverConfig config;
-  config.mmsim.fused = true;
-  return config;
-}
-
 TEST(RecoveryLadderTest, ConvergedPrimaryIsUntouched) {
   const StructuredQp qp = chain_qp();
   const RecoveredSolve recovered = solve_with_recovery(
@@ -196,30 +186,61 @@ TEST(RecoveryLadderTest, ForcedFailureRecoversAtEscalatedRung) {
     EXPECT_NEAR(recovered.result.x[i], reference.x[i], 1e-3);
 }
 
-TEST(RecoveryLadderTest, LadderFallsBackToReferenceThenLemke) {
+TEST(RecoveryLadderTest, LadderFallsBackToColdRestartThenLemke) {
   const StructuredQp qp = chain_qp();
   RecoveryOptions recovery;
   recovery.forced_failures = 2;  // primary + escalated forced down
   RecoveredSolve recovered = solve_with_recovery(
-      LcpSolverKind::kMmsim, qp, fused_config(), recovery);
-  EXPECT_EQ(recovered.rung, RecoveryRung::kReference);
+      LcpSolverKind::kMmsim, qp, LcpSolverConfig{}, recovery);
+  EXPECT_EQ(recovered.rung, RecoveryRung::kColdRestart);
   EXPECT_EQ(recovered.attempts, 3u);
 
-  recovery.forced_failures = 3;  // ... + reference: m > 0, so PSOR is
+  recovery.forced_failures = 3;  // ... + cold restart: m > 0, so PSOR is
                                  // skipped and Lemke is the last resort
   recovered = solve_with_recovery(LcpSolverKind::kMmsim, qp,
-                                  fused_config(), recovery);
+                                  LcpSolverConfig{}, recovery);
   EXPECT_EQ(recovered.rung, RecoveryRung::kLemke);
   EXPECT_EQ(recovered.attempts, 4u);
   ASSERT_TRUE(recovered.result.converged);
 }
 
+// Rung 1 resumes from the failed iterate kept in the slot; the cold-restart
+// rung must instead be exactly a fresh solve with the escalated parameters
+// (θ* re-probed, γ relaxed, budget multiplied).
+TEST(RecoveryLadderTest, ColdRestartRungMatchesDirectEscalatedColdSolve) {
+  const StructuredQp qp = chain_qp();
+  RecoveryOptions recovery;
+  recovery.forced_failures = 2;
+  SolverWorkspace workspace;
+  workspace.prepare(1);
+  const RecoveredSolve recovered =
+      solve_with_recovery(LcpSolverKind::kMmsim, qp, LcpSolverConfig{},
+                          recovery, &workspace.slot(0), /*warm_start=*/true);
+  ASSERT_EQ(recovered.rung, RecoveryRung::kColdRestart);
+  EXPECT_FALSE(recovered.result.warm_started);
+
+  LcpSolverConfig escalated;
+  escalated.mmsim.theta = MmsimSolver(qp, escalated.mmsim).suggest_theta();
+  escalated.mmsim.gamma = recovery.relaxed_gamma;
+  escalated.mmsim.max_iterations *= recovery.budget_multiplier;
+  const LcpSolveResult direct =
+      make_lcp_solver(LcpSolverKind::kMmsim, qp, escalated)->solve();
+  ASSERT_TRUE(direct.converged);
+  EXPECT_EQ(recovered.result.iterations, direct.iterations);
+  ASSERT_EQ(recovered.result.x.size(), direct.x.size());
+  ASSERT_EQ(recovered.result.dual.size(), direct.dual.size());
+  for (std::size_t i = 0; i < direct.x.size(); ++i)
+    EXPECT_EQ(recovered.result.x[i], direct.x[i]) << "x[" << i << "]";
+  for (std::size_t i = 0; i < direct.dual.size(); ++i)
+    EXPECT_EQ(recovered.result.dual[i], direct.dual[i]) << "dual[" << i << "]";
+}
+
 TEST(RecoveryLadderTest, PsorRungServesBoundConstrainedQps) {
   const StructuredQp qp = unconstrained_qp();
   RecoveryOptions recovery;
-  recovery.forced_failures = 3;  // primary, escalated, reference forced down
+  recovery.forced_failures = 3;  // primary, escalated, cold restart down
   const RecoveredSolve recovered = solve_with_recovery(
-      LcpSolverKind::kMmsim, qp, fused_config(), recovery);
+      LcpSolverKind::kMmsim, qp, LcpSolverConfig{}, recovery);
   EXPECT_EQ(recovered.rung, RecoveryRung::kPsor);
   ASSERT_TRUE(recovered.result.converged);
   EXPECT_NEAR(recovered.result.x[0], 3.0, 1e-6);
@@ -231,9 +252,9 @@ TEST(RecoveryLadderTest, ExhaustedLadderReportsEveryAttempt) {
   RecoveryOptions recovery;
   recovery.forced_failures = 100;
   const RecoveredSolve recovered = solve_with_recovery(
-      LcpSolverKind::kMmsim, qp, fused_config(), recovery);
+      LcpSolverKind::kMmsim, qp, LcpSolverConfig{}, recovery);
   EXPECT_EQ(recovered.rung, RecoveryRung::kExhausted);
-  // primary, escalated, reference, Lemke (PSOR skipped: m > 0).
+  // primary, escalated, cold restart, Lemke (PSOR skipped: m > 0).
   EXPECT_EQ(recovered.attempts, 4u);
   EXPECT_GT(recovered.wasted_iterations, 0u);
 }
@@ -268,9 +289,9 @@ TEST(RecoveryLadderTest, LadderRespectsSizeGates) {
   recovery.forced_failures = 100;
   recovery.lemke_fallback_max_size = 2;  // below n + m = 5: Lemke gated off
   const RecoveredSolve recovered = solve_with_recovery(
-      LcpSolverKind::kMmsim, qp, fused_config(), recovery);
+      LcpSolverKind::kMmsim, qp, LcpSolverConfig{}, recovery);
   EXPECT_EQ(recovered.rung, RecoveryRung::kExhausted);
-  EXPECT_EQ(recovered.attempts, 3u);  // primary, escalated, reference only
+  EXPECT_EQ(recovered.attempts, 3u);  // primary, escalated, cold restart
 }
 
 TEST(RecoveryLadderTest, EnvironmentResolvesForcedFailures) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <thread>
 
 #include "baselines/abacus.h"
 #include "db/legality.h"
@@ -145,6 +146,34 @@ TEST(MmsimLegalizerTest, TieredWarmStartConvergesToColdSolution) {
   // Warm starting from the converged s of an identical solve should not
   // take more iterations than the cold critical path.
   EXPECT_LE(warm.iterations, cold.iterations);
+}
+
+// A one-shot call without a workspace runs in the thread's default arena.
+// Whatever that thread legalized before must not leak into the result: the
+// arena's warm-start payloads from design A (same component shapes as B)
+// would otherwise seed B's tiered component solves.
+TEST(MmsimLegalizerTest, TieredOneShotIndependentOfThreadHistory) {
+  db::Design design_b = small_design(400, 60, 0.7, 29);
+  const RowAssignment rows = assign_rows(design_b);
+  db::Design design_a = design_b;
+  for (db::Cell& cell : design_a.cells())
+    if (!cell.fixed) cell.gp_x += 0.5;
+
+  MmsimLegalizerOptions options;
+  options.partition = PartitionMode::kTiered;
+
+  db::Design after_a = design_b;
+  std::thread history([&] {
+    mmsim_legalize_continuous(design_a, rows, options);
+    mmsim_legalize_continuous(after_a, rows, options);
+  });
+  history.join();
+  db::Design fresh = design_b;
+  std::thread clean([&] { mmsim_legalize_continuous(fresh, rows, options); });
+  clean.join();
+
+  for (std::size_t i = 0; i < fresh.num_cells(); ++i)
+    ASSERT_EQ(after_a.cells()[i].x, fresh.cells()[i].x) << "cell " << i;
 }
 
 TEST(MmsimLegalizerTest, PreservesCellOrderingWithinRows) {

@@ -22,9 +22,6 @@
 //                         env, else auto = highest the CPU supports; the
 //                         double kernels are bitwise identical at every
 //                         level, so this is a perf knob, not a result knob)
-//   --precision <double|mixed>      MMSIM iterate precision (default:
-//                         MCH_PRECISION env, else double; mixed engages
-//                         only under --partition tiered)
 //   --seed <n>            seed for --double            (default 1)
 //   --threads <n>         worker threads (0 = auto; also MCH_THREADS)
 //   --trace <path>        write a Chrome trace-event JSON of the run (open
@@ -138,14 +135,6 @@ int main(int argc, char** argv) {
         linalg::set_simd_level(linalg::simd_level_supported());
       else
         usage_error("unknown --simd level (auto|avx512|avx2|off)");
-    } else if (arg == "--precision") {
-      const std::string prec = value();
-      if (prec == "double")
-        flow_options.solver.mmsim.precision = lcp::MmsimPrecision::kDouble;
-      else if (prec == "mixed")
-        flow_options.solver.mmsim.precision = lcp::MmsimPrecision::kMixed;
-      else
-        usage_error("unknown --precision (double|mixed)");
     } else
       usage_error(("unknown option " + arg).c_str());
   }
@@ -229,23 +218,14 @@ int main(int argc, char** argv) {
       }
       if (result.solver_phase.total() > 0.0)
         std::printf("solver phases:       kernel %.2f ms, spmv %.2f ms, "
-                    "thomas %.2f ms, reduction %.2f ms, mixed %.2f ms "
-                    "(solve %.2f ms)\n",
+                    "thomas %.2f ms, reduction %.2f ms (solve %.2f ms)\n",
                     result.solver_phase.kernel_seconds * 1e3,
                     result.solver_phase.spmv_seconds * 1e3,
                     result.solver_phase.thomas_seconds * 1e3,
                     result.solver_phase.reduction_seconds * 1e3,
-                    result.solver_phase.mixed_seconds * 1e3,
                     result.solver_solve_seconds * 1e3);
       MCH_LOG(kInfo) << "kernels: simd "
-                     << linalg::simd_level_name(result.solver_simd)
-                     << ", precision "
-                     << (result.solver_precision ==
-                                 lcp::MmsimPrecision::kMixed
-                             ? "mixed"
-                             : "double")
-                     << " (" << result.solver_mixed_iterations
-                     << " mixed iterations)";
+                     << linalg::simd_level_name(result.solver_simd);
     }
     if (run_dp)
       std::printf("detailed placement:  HPWL %.0f -> %.0f (%.3f%%), "

@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # Repo verification driver: tier-1 build + ctest, the env-variant ctest
-# jobs (.recovery/.session/.simd-off/.mixed/.trace), the observability
+# jobs (.recovery/.session/.simd-off/.trace), the perfbench helper unit
+# tests, the observability
 # disabled-overhead smoke (BM_MmsimIterations/32768 vs the committed
 # snapshot), the multi-client scheduler bench (bitwise stability + parallel
 # efficiency of concurrent request submission), an AddressSanitizer job
 # over the solver/legalizer suites (the workspace arena hands slot
 # references to parallel workers — ASan is what would catch a stale one), a
-# UBSan job over the SIMD/mixed kernel suites, and a ThreadSanitizer job
+# UBSan job over the SIMD kernel suites, and a ThreadSanitizer job
 # over the work-stealing scheduler (concurrent submitters, stolen tickets,
 # the sleep/wake Dekker protocol — TSan is what would catch a misordered
 # wake or a job freed under a late steal).
@@ -64,14 +65,6 @@ echo "== simd-off: scalar-reference kernel suites =="
 (cd build && ctest -j2 --output-on-failure \
   -R '\.simd-off$|SimdDispatchTest|SimdCsrTest|SimdBlockDiagTest|MmsimSimdTest')
 
-echo "== mixed: float32-iterate solver suites =="
-# The .mixed ctest variant opts every MMSIM solve into the mixed-precision
-# iterate (MCH_PRECISION=mixed: float32 sweeps, float64 residual checks,
-# double polish); the MmsimMixedTest suite covers the displacement
-# tolerance, the kOff/kMatch demotion, and the recovery handoff directly.
-(cd build && ctest -j2 --output-on-failure \
-  -R '\.mixed$|MmsimMixedTest')
-
 echo "== trace: observability-enabled suites =="
 # The .trace ctest variant re-runs the eval/service/integration suites with
 # MCH_TRACE=1 and MCH_METRICS=1 — spans recording into every thread's ring
@@ -81,6 +74,12 @@ echo "== trace: observability-enabled suites =="
 # obs unit suites ride along.
 (cd build && ctest -j2 --output-on-failure \
   -R '\.trace$|TraceTest|MetricsTest|ObsIdentityTest')
+
+echo "== perfbench: statistics helper unit tests =="
+# The repo benchmark's percentile/tail/name-grammar helpers
+# (perfbench/benchstats.py) decide what a result file reports; their unit
+# tests are stdlib-only and need no build.
+python3 -m unittest discover -s perfbench/tests
 
 echo "== obs: disabled-overhead smoke =="
 # src/obs/ is compiled into every build and gated by a relaxed flag load,
@@ -180,27 +179,26 @@ if [[ "$FAST" == 0 ]]; then
     MCH_THREADS=4 "$bin" --gtest_brief=1
   done
 
-  echo "== ubsan: build SIMD/mixed kernel suites =="
+  echo "== ubsan: build SIMD kernel suites =="
   # The vector kernels are the one place the codebase hand-rolls pointer
   # arithmetic over SoA gather tables and reinterprets masks — UBSan over
-  # the kernel suites (at every dispatch level and in mixed precision) is
-  # what would catch a misaligned load or out-of-lane index.
+  # the kernel suites (at every dispatch level) is what would catch a
+  # misaligned load or out-of-lane index.
   cmake -B build-ubsan -S . -DMCH_ENABLE_UBSAN=ON \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
   UBSAN_TARGETS=(
     linalg_simd_test linalg_csr_test lcp_mmsim_simd_test
-    lcp_mmsim_mixed_test lcp_mmsim_fused_test
+    lcp_mmsim_fused_test
   )
   for t in "${UBSAN_TARGETS[@]}"; do
     cmake --build build-ubsan -j4 --target "$t"
   done
 
-  echo "== ubsan: run (native SIMD, forced-scalar, mixed) =="
+  echo "== ubsan: run (native SIMD, forced-scalar) =="
   for t in "${UBSAN_TARGETS[@]}"; do
     bin="$(find build-ubsan/tests -name "$t" -type f | head -1)"
     "$bin" --gtest_brief=1
     MCH_SIMD=0 "$bin" --gtest_brief=1
-    MCH_PRECISION=mixed "$bin" --gtest_brief=1
   done
 fi
 
