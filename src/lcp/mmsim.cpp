@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "lcp/mmsim_kernels.h"
+#include "linalg/cg.h"
 #include "linalg/power_iteration.h"
 #include "obs/metrics.h"
 #include "linalg/simd.h"
@@ -51,6 +52,12 @@ class PhaseTimer {
 };
 
 double fold_max(double a, double b) { return std::max(a, b); }
+
+/// Iterations between finisher pattern snapshots (solve_finished).
+constexpr std::size_t kFinisherStride = 32;
+/// |s| at or below this is the finisher pattern's 0 class: the degenerate
+/// entries, tight with a zero multiplier.
+constexpr double kFinisherZeroBand = 1e-6;
 
 }  // namespace
 
@@ -269,6 +276,7 @@ void MmsimSolver::reset_state(State& state, const Vector* s0) const {
   state.rhs2.resize(m);
   state.new_s1.resize(n);
   state.new_s2.resize(m);
+  state.pattern.clear();
   state.iterations = 0;
   state.phase = MmsimPhaseTimes{};
 }
@@ -720,7 +728,120 @@ double MmsimSolver::step_fused_impl(State& state) const {
   return delta;
 }
 
-MmsimResult MmsimSolver::run_loop(State& state) const {
+bool MmsimSolver::pattern_settled(State& state) const {
+  const std::size_t n = state.s1.size();
+  const std::size_t total = n + state.s2.size();
+  bool same = state.pattern.size() == total;
+  state.pattern.resize(total);
+  for (std::size_t i = 0; i < total; ++i) {
+    const double s = i < n ? state.s1[i] : state.s2[i - n];
+    const signed char c = s > kFinisherZeroBand    ? 1
+                          : s < -kFinisherZeroBand ? -1
+                                                   : 0;
+    same = same && c == state.pattern[i];
+    state.pattern[i] = c;
+  }
+  return same;
+}
+
+// The settled pattern names the active set: variables in class +1 are free
+// (x > 0), every other variable is pinned at 0 by a unit row, and spacing
+// rows in class +1 or 0 hold with equality (the 0 class carries the
+// degenerate rows — tight with a zero multiplier — that a raw sign pattern
+// would see flip until the last iteration). With B′ = [B_E; I_pinned] and
+// b′ = [b_E; 0], the equality-constrained QP's KKT system reduces to the
+// Schur system S y = b′ + B′K⁻¹p, S = B′K⁻¹B′ᵀ (K⁻¹ block diagonal, so S is
+// applied matrix-free), and x = K⁻¹(B′ᵀy − p).
+bool MmsimSolver::try_finish(State& state) const {
+  static obs::Counter& attempts = obs::counter("mmsim.finisher.attempts");
+  static obs::Counter& accepted = obs::counter("mmsim.finisher.accepted");
+  attempts.add();
+  const std::size_t n = qp_.num_variables();
+  const std::size_t m = qp_.num_constraints();
+  std::vector<std::size_t> rows;    // equality spacing rows
+  std::vector<std::size_t> pinned;  // variables held at 0
+  for (std::size_t r = 0; r < m; ++r)
+    if (state.pattern[n + r] >= 0) rows.push_back(r);
+  for (std::size_t i = 0; i < n; ++i)
+    if (state.pattern[i] <= 0) pinned.push_back(i);
+  const std::size_t ne = rows.size();
+  const std::size_t dim = ne + pinned.size();
+
+  const std::vector<std::size_t>& rp = qp_.B.row_ptr();
+  const auto& ci = qp_.B.col_idx();
+  const auto& bv = qp_.B.values();
+  const auto scatter = [&](const Vector& y, Vector& out) {  // out = B′ᵀy
+    out.assign(n, 0.0);
+    for (std::size_t k = 0; k < ne; ++k)
+      for (std::size_t e = rp[rows[k]]; e < rp[rows[k] + 1]; ++e)
+        out[ci[e]] += bv[e] * y[k];
+    for (std::size_t k = 0; k < pinned.size(); ++k) out[pinned[k]] += y[ne + k];
+  };
+  const auto gather = [&](const Vector& v, Vector& out) {  // out = B′v
+    out.resize(dim);
+    for (std::size_t k = 0; k < ne; ++k) {
+      double sum = 0.0;
+      for (std::size_t e = rp[rows[k]]; e < rp[rows[k] + 1]; ++e)
+        sum += bv[e] * v[ci[e]];
+      out[k] = sum;
+    }
+    for (std::size_t k = 0; k < pinned.size(); ++k) out[ne + k] = v[pinned[k]];
+  };
+
+  Vector t, u;
+  const auto apply_schur = [&](const Vector& y, Vector& out) {
+    scatter(y, t);
+    qp_.K.solve(t, u);
+    gather(u, out);
+  };
+  // Jacobi diagonal: diag(B K⁻¹ Bᵀ) is D's diagonal; a unit row's is K⁻¹ᵢᵢ.
+  Vector diagonal(dim);
+  for (std::size_t k = 0; k < ne; ++k) diagonal[k] = d_.diag(rows[k]);
+  for (std::size_t k = 0; k < pinned.size(); ++k)
+    diagonal[ne + k] = qp_.K.inverse_entry(pinned[k], pinned[k]);
+
+  Vector rhs;
+  qp_.K.solve(qp_.p, u);
+  gather(u, rhs);
+  for (std::size_t k = 0; k < ne; ++k) rhs[k] += qp_.b[rows[k]];
+
+  // Start from the current multipliers: the duals on spacing rows, the
+  // reduced gradient w₁ on the unit rows.
+  Vector w;
+  qp_.lcp_apply(state.z, w);
+  Vector y(dim);
+  for (std::size_t k = 0; k < ne; ++k) y[k] = state.z[n + rows[k]];
+  for (std::size_t k = 0; k < pinned.size(); ++k) y[ne + k] = w[pinned[k]];
+
+  // CG only has to resolve the system well below the certificate below;
+  // it is not an acceptance test.
+  linalg::CgOptions cg;
+  cg.tolerance = 1e-3 * opts_.residual_tolerance;
+  cg.max_iterations = dim + 16;
+  linalg::conjugate_gradient(apply_schur, diagonal, rhs, y, cg);
+
+  Vector z(n + m, 0.0);
+  scatter(y, t);
+  for (std::size_t i = 0; i < n; ++i) t[i] -= qp_.p[i];
+  qp_.K.solve(t, u);
+  std::copy(u.begin(), u.end(), z.begin());
+  for (std::size_t k = 0; k < ne; ++k) z[n + rows[k]] = y[k];
+
+  if (!scaled_residual_ok(z)) return false;
+  accepted.add();
+  // s = γ/2·(z − w) is the modulus preimage of (z, w): MMSIM's fixed point
+  // when (z, w) solves the LCP, so the slot's warm start stays valid.
+  qp_.lcp_apply(z, w);
+  const double half_gamma = 0.5 * opts_.gamma;
+  for (std::size_t i = 0; i < n; ++i)
+    state.s1[i] = half_gamma * (z[i] - w[i]);
+  for (std::size_t r = 0; r < m; ++r)
+    state.s2[r] = half_gamma * (z[n + r] - w[n + r]);
+  state.z = std::move(z);
+  return true;
+}
+
+MmsimResult MmsimSolver::run_loop(State& state, bool finish) const {
   const std::size_t n = qp_.num_variables();
   const std::size_t m = qp_.num_constraints();
 
@@ -728,6 +849,10 @@ MmsimResult MmsimSolver::run_loop(State& state) const {
   MmsimResult result;
   result.setup_seconds = setup_seconds_;
 
+  // Finisher back-off: the earliest iteration of the next attempt, and the
+  // wait added after a rejection (doubles until the pattern moves again).
+  std::size_t finish_next = 0;
+  std::size_t finish_wait = kFinisherStride;
   std::size_t k = 0;
   while (state.iterations < opts_.max_iterations) {
     result.final_delta = step(state);
@@ -746,6 +871,20 @@ MmsimResult MmsimSolver::run_loop(State& state) const {
       if (stop) {
         result.converged = true;
         break;
+      }
+    }
+    if (finish && state.iterations % kFinisherStride == 0) {
+      if (!pattern_settled(state)) {
+        finish_next = 0;
+        finish_wait = kFinisherStride;
+      } else if (state.iterations >= finish_next) {
+        if (try_finish(state)) {
+          result.converged = true;
+          result.finished = true;
+          break;
+        }
+        finish_next = state.iterations + finish_wait;
+        finish_wait *= 2;
       }
     }
     ++k;
@@ -776,12 +915,17 @@ MmsimResult MmsimSolver::run_loop(State& state) const {
 
 MmsimResult MmsimSolver::solve_from(const Vector& s0) const {
   State state = make_state(s0);
-  return run_loop(state);
+  return run_loop(state, /*finish=*/false);
 }
 
 MmsimResult MmsimSolver::solve_in(State& state, const Vector* s0) const {
   reset_state(state, s0);
-  return run_loop(state);
+  return run_loop(state, /*finish=*/false);
+}
+
+MmsimResult MmsimSolver::solve_finished(State& state, const Vector* s0) const {
+  reset_state(state, s0);
+  return run_loop(state, /*finish=*/true);
 }
 
 }  // namespace mch::lcp

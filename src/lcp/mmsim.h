@@ -104,6 +104,9 @@ struct MmsimResult {
   MmsimPhaseTimes phase;      ///< per-phase timing (see MmsimPhaseTimes)
   std::size_t iterations = 0;
   bool converged = false;
+  /// True when the active-set finisher produced the accepted iterate (see
+  /// MmsimSolver::solve_finished); implies converged.
+  bool finished = false;
   double final_delta = 0.0;   ///< last ‖z⁽ᵏ⁾ − z⁽ᵏ⁻¹⁾‖∞
   double setup_seconds = 0.0;
   double solve_seconds = 0.0;
@@ -161,6 +164,9 @@ class MmsimSolver {
     Vector z_prev;
     Vector rhs2, new_s1, new_s2;  ///< scratch
     Vector thomas_d;          ///< Thomas forward-sweep scratch
+    /// 3-class sign pattern of [s1; s2] at the last finisher snapshot
+    /// (solve_finished only; empty until the first snapshot).
+    std::vector<signed char> pattern;
     /// step_reference() intermediates, sized on its first call so the
     /// production step never allocates them.
     Vector abs1, abs2, rhs1;
@@ -180,6 +186,19 @@ class MmsimSolver {
   /// the MmsimOptions stopping rule. Bitwise identical to solve_from() for
   /// the same s0; the point is buffer reuse across solves (SolverWorkspace).
   MmsimResult solve_in(State& state, const Vector* s0 = nullptr) const;
+
+  /// solve_in() plus the exact active-set finisher — the production
+  /// component path (lcp::make_lcp_solver), not Algorithm 1. Every 32
+  /// iterations it snapshots the 3-class sign pattern of s (+1: s > ε,
+  /// −1: s < −ε, 0 otherwise, ε = 1e-6); when a snapshot repeats the
+  /// previous one it solves the equality-constrained QP that pattern
+  /// defines and accepts the result only if it passes the same scaled
+  /// residual certificate as the MmsimOptions stopping rule. A rejected
+  /// attempt leaves the iterate untouched, so the run continues exactly as
+  /// solve_in() would; repeated rejections on an unchanged pattern back off
+  /// geometrically. An accepted result has finished = true, and its s is
+  /// γ/2·(z − w): a valid warm start for a later solve.
+  MmsimResult solve_finished(State& state, const Vector* s0 = nullptr) const;
 
   /// Advances one modulus iteration and returns ‖z⁽ᵏ⁾ − z⁽ᵏ⁻¹⁾‖∞. The
   /// caller owns the stopping rule (solve_from() applies the tolerance +
@@ -227,8 +246,15 @@ class MmsimSolver {
   /// constant-trip-count loops with no per-row branch).
   template <bool kGather2>
   double step_fused_impl(State& state) const;
-  /// Iteration loop + result packaging shared by solve_from()/solve_in().
-  MmsimResult run_loop(State& state) const;
+  /// Iteration loop + result packaging shared by solve_from()/solve_in()
+  /// and, with `finish`, solve_finished().
+  MmsimResult run_loop(State& state, bool finish) const;
+  /// Refreshes state.pattern from s; true when it equals the previous
+  /// snapshot.
+  bool pattern_settled(State& state) const;
+  /// One finisher attempt on the settled pattern; on acceptance writes the
+  /// exact z and its s into `state` and returns true.
+  bool try_finish(State& state) const;
 
   const StructuredQp& qp_;
   MmsimOptions opts_;

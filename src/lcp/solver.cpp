@@ -20,7 +20,13 @@ class MmsimLcpSolver final : public LcpSolver {
 
   LcpSolverKind kind() const override { return LcpSolverKind::kMmsim; }
 
-  LcpSolveResult solve() const override { return pack(solver_.solve()); }
+  // Both overloads run the finisher (MmsimSolver::solve_finished): this
+  // adapter is the production component path, not the Algorithm 1
+  // reference.
+  LcpSolveResult solve() const override {
+    MmsimSolver::State state;
+    return pack(solver_.solve_finished(state));
+  }
 
   LcpSolveResult solve(SolverWorkspace::Slot* slot,
                        bool warm_start) const override {
@@ -32,7 +38,7 @@ class MmsimLcpSolver final : public LcpSolver {
       s0 = &slot->warm_s;
     }
     const bool warm = s0 != nullptr;
-    MmsimResult mmsim = solver_.solve_in(slot->state, s0);
+    MmsimResult mmsim = solver_.solve_finished(slot->state, s0);
     slot->warm_s = std::move(mmsim.s);
     slot->warm_variables = num_variables_;
     slot->warm_constraints = num_constraints_;
@@ -48,6 +54,7 @@ class MmsimLcpSolver final : public LcpSolver {
     result.dual = std::move(mmsim.dual);
     result.iterations = mmsim.iterations;
     result.converged = mmsim.converged;
+    result.finished = mmsim.finished;
     result.setup_seconds = mmsim.setup_seconds;
     result.solve_seconds = mmsim.solve_seconds;
     result.phase = mmsim.phase;

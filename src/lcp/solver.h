@@ -36,6 +36,9 @@ struct LcpSolveResult {
   /// MMSIM/PSOR iterations, or Lemke pivots.
   std::size_t iterations = 0;
   bool converged = false;
+  /// True when MMSIM's active-set finisher produced the accepted result
+  /// (MmsimSolver::solve_finished); always false for PSOR and Lemke.
+  bool finished = false;
   /// True when the solve started from a matching warm-start payload in its
   /// workspace slot (MMSIM's s, PSOR's z). Always false for cold solves and
   /// for Lemke; session/ECO callers aggregate this into a hit rate.

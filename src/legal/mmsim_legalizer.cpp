@@ -296,7 +296,8 @@ SolveOutcome solve_tiered(const LegalizationModel& model,
               lcp::make_lcp_solver(kinds[c], components[c].qp, config)
                   ->solve(&workspace.slot(c), /*warm_start=*/true);
           span.arg("iterations", results[c].iterations)
-              .arg("warm", results[c].warm_started);
+              .arg("warm", results[c].warm_started)
+              .arg("finished", results[c].finished);
         }
       });
 
@@ -397,7 +398,8 @@ SolveOutcome solve_tiered_streamed(const LegalizationModel& model,
         results[c] = lcp::make_lcp_solver(kinds[c], component.qp, config)
                          ->solve(&workspace.slot(c), /*warm_start=*/true);
         span.arg("iterations", results[c].iterations)
-            .arg("warm", results[c].warm_started);
+            .arg("warm", results[c].warm_started)
+            .arg("finished", results[c].finished);
         // Scatter and drop the local solution before the next extraction.
         // Variable sets are disjoint across components, so the shared
         // writes are race-free.
@@ -531,7 +533,9 @@ ComponentSolveReport solve_components(const db::Design& design,
             kinds[c], component.qp, config, recovery, jobs[c].slot,
             /*warm_start=*/true);
         span.arg("iterations", recovered[c].result.iterations)
-            .arg("rung", lcp::to_string(recovered[c].rung));
+            .arg("rung", lcp::to_string(recovered[c].rung))
+            .arg("warm", recovered[c].result.warm_started)
+            .arg("finished", recovered[c].result.finished);
         if (recovered[c].rung != lcp::RecoveryRung::kExhausted) {
           // Variable sets are disjoint across jobs (caller's contract),
           // so the shared writes are race-free.

@@ -94,7 +94,7 @@ class TraceSpan {
     return arg_int(key, static_cast<std::int64_t>(value));
   }
 
-  static constexpr std::size_t kMaxArgs = 6;
+  static constexpr std::size_t kMaxArgs = 8;
 
  private:
   TraceSpan& arg_int(const char* key, std::int64_t value);

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdlib>
 #include <string>
@@ -68,12 +70,16 @@ TEST(LcpSolverTest, ToStringNames) {
 }
 
 TEST(LcpSolverTest, MmsimAdapterMatchesDirectSolver) {
+  // The adapter runs MMSIM with the active-set finisher
+  // (MmsimSolver::solve_finished). Where the finisher never accepts, it is
+  // bit for bit the direct Algorithm 1 solve.
   const StructuredQp qp = chain_qp();
   LcpSolverConfig config;
   const LcpSolveResult adapted =
       make_lcp_solver(LcpSolverKind::kMmsim, qp, config)->solve();
   const MmsimResult direct = MmsimSolver(qp, config.mmsim).solve();
   EXPECT_TRUE(adapted.converged);
+  EXPECT_FALSE(adapted.finished);
   EXPECT_EQ(adapted.iterations, direct.iterations);
   ASSERT_EQ(adapted.x.size(), direct.x.size());
   for (std::size_t i = 0; i < adapted.x.size(); ++i)
@@ -81,6 +87,27 @@ TEST(LcpSolverTest, MmsimAdapterMatchesDirectSolver) {
   ASSERT_EQ(adapted.dual.size(), direct.dual.size());
   for (std::size_t i = 0; i < adapted.dual.size(); ++i)
     EXPECT_EQ(adapted.dual[i], direct.dual[i]) << "dual[" << i << "]";
+
+  // Where it accepts — a stop tight enough that MMSIM alone polishes past
+  // the settled active set — the adapter stops early on the exact solution.
+  LcpSolverConfig tight;
+  tight.mmsim.tolerance = 1e-12;
+  tight.mmsim.residual_tolerance = 1e-10;
+  const LcpSolveResult finished =
+      make_lcp_solver(LcpSolverKind::kMmsim, qp, tight)->solve();
+  const MmsimResult polished = MmsimSolver(qp, tight.mmsim).solve();
+  const LcpSolveResult exact =
+      make_lcp_solver(LcpSolverKind::kLemke, qp)->solve();
+  ASSERT_TRUE(finished.converged);
+  ASSERT_TRUE(finished.finished);
+  ASSERT_TRUE(exact.converged);
+  EXPECT_LT(finished.iterations, polished.iterations);
+  double x_norm = 0.0;
+  for (const double v : exact.x) x_norm = std::max(x_norm, std::abs(v));
+  ASSERT_EQ(finished.x.size(), exact.x.size());
+  for (std::size_t i = 0; i < exact.x.size(); ++i)
+    EXPECT_NEAR(finished.x[i], exact.x[i], 1e-6 * (1.0 + x_norm))
+        << "x[" << i << "]";
 }
 
 TEST(LcpSolverTest, LemkeAgreesWithMmsim) {

@@ -71,12 +71,17 @@ TEST_F(TraceTest, ArgsRoundTripThroughTheRing) {
     span.arg("count", 42)
         .arg("ratio", 0.5)
         .arg("mode", "tiered")
-        .arg("design", intern(std::string("adaptec") + "1"));
+        .arg("design", intern(std::string("adaptec") + "1"))
+        .arg("rows", 5)
+        .arg("iterations", 6)
+        .arg("warm", true)
+        .arg("finished", false);
   }
   const std::vector<CollectedEvent> events = collect_trace_events();
   ASSERT_EQ(events.size(), 1u);
   const CollectedEvent& e = events[0];
-  ASSERT_EQ(e.args.size(), 4u);
+  ASSERT_EQ(e.args.size(), 8u);
+  ASSERT_EQ(TraceSpan::kMaxArgs, 8u);
 
   EXPECT_STREQ(e.args[0].key, "count");
   ASSERT_EQ(e.args[0].kind, TraceArg::Kind::kInt);
@@ -92,6 +97,19 @@ TEST_F(TraceTest, ArgsRoundTripThroughTheRing) {
 
   ASSERT_EQ(e.args[3].kind, TraceArg::Kind::kString);
   EXPECT_STREQ(e.args[3].value.s, "adaptec1");
+
+  // The solve.component span's full set: the last two slots (warm,
+  // finished) are the ones a 6-arg cap used to drop.
+  EXPECT_STREQ(e.args[4].key, "rows");
+  EXPECT_EQ(e.args[4].value.i, 5);
+  EXPECT_STREQ(e.args[5].key, "iterations");
+  EXPECT_EQ(e.args[5].value.i, 6);
+  EXPECT_STREQ(e.args[6].key, "warm");
+  ASSERT_EQ(e.args[6].kind, TraceArg::Kind::kInt);
+  EXPECT_EQ(e.args[6].value.i, 1);
+  EXPECT_STREQ(e.args[7].key, "finished");
+  ASSERT_EQ(e.args[7].kind, TraceArg::Kind::kInt);
+  EXPECT_EQ(e.args[7].value.i, 0);
 }
 
 TEST_F(TraceTest, ArgsBeyondMaxAreDroppedSilently) {

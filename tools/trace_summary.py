@@ -3,9 +3,11 @@
 
 Reads the Chrome trace-event JSON written by `mchlegal --trace` (or any
 bench/test run with MCH_TRACE=<path>) and prints a per-phase wall-clock
-breakdown plus the top-k slowest per-component solves. When the matching
-metrics snapshot (`--metrics`, from `--metrics`/MCH_METRICS=<path>) is
-given, its counters and latency histograms are appended.
+breakdown plus the top-k slowest per-component solves, with their
+warm-start and finisher flags. When the matching metrics snapshot
+(`--metrics`, from `--metrics`/MCH_METRICS=<path>) is given, the
+finisher's accepted/attempted totals, its counters and latency histograms
+are appended.
 
     tools/trace_summary.py run.trace.json [--metrics run.metrics.json] \
         [--top 10]
@@ -69,10 +71,17 @@ def slowest_components(events, top_k):
     solves.sort(key=lambda e: -e["dur"])
     print(f"\ntop {min(top_k, len(solves))} slowest component solves "
           f"(of {len(solves)}):")
+    print(f"  {'time':>13}  {'tid':>3} {'comp':>6} {'vars':>6} {'rows':>6} "
+          f"{'solver':<6} {'iters':>7} {'warm':>4} {'fin':>3}  other")
     for e in solves[:top_k]:
-        args = e.get("args", {})
+        args = dict(e.get("args", {}))
+        cols = [args.pop(k, "-") for k in (
+            "component", "vars", "rows", "solver", "iterations", "warm",
+            "finished")]
         detail = ", ".join(f"{k}={v}" for k, v in args.items())
-        print(f"  {fmt_ms(e['dur'])}  tid {e.get('tid', '?'):>2}  {detail}")
+        print(f"  {fmt_ms(e['dur'])}  {e.get('tid', '?'):>3} {cols[0]:>6} "
+              f"{cols[1]:>6} {cols[2]:>6} {cols[3]:<6} {cols[4]:>7} "
+              f"{cols[5]:>4} {cols[6]:>3}  {detail}")
 
 
 def metrics_summary(path):
@@ -88,6 +97,11 @@ def metrics_summary(path):
         print(f"\nmetrics attributes: {rendered}")
 
     counters = doc.get("counters", {})
+    attempts = counters.get("mmsim.finisher.attempts", 0)
+    if attempts:
+        accepted = counters.get("mmsim.finisher.accepted", 0)
+        print(f"finisher: {accepted} accepted of {attempts} attempts "
+              f"({100.0 * accepted / attempts:.1f}%)")
     if counters:
         print("counters:")
         for name, value in sorted(counters.items()):

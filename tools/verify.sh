@@ -44,9 +44,10 @@ echo "== recovery: fault-injected legal/lcp suites =="
 # The .recovery ctest variant runs with MCH_FORCE_SOLVER_FAILURE=1, so
 # every legalization solve exercises the escalation ladder and must still
 # meet its contracts; the plain legality/recovery regression suites ride
-# along for the checker fixes.
+# along for the checker fixes, and the finisher suite for the escalated
+# rungs it finishes.
 (cd build && ctest -j2 --output-on-failure \
-  -R '\.recovery$|RecoveryLadderTest|DegenerateDesignTest|LegalityTest')
+  -R '\.recovery$|RecoveryLadderTest|DegenerateDesignTest|LegalityTest|MmsimFinisherTest')
 
 echo "== session: resident-service suites =="
 # The .session ctest variant runs the eval/integration suites with
@@ -166,7 +167,8 @@ if [[ "$FAST" == 0 ]]; then
     -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
   ASAN_TARGETS=(
     lcp_mmsim_test lcp_mmsim_fused_test lcp_solver_test lcp_psor_test
-    legal_mmsim_legalizer_test legal_partition_test linalg_csr_test
+    lcp_mmsim_finisher_test legal_mmsim_legalizer_test legal_partition_test
+    linalg_csr_test
   )
   for t in "${ASAN_TARGETS[@]}"; do
     cmake --build build-asan -j4 --target "$t"
