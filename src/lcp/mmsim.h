@@ -229,9 +229,10 @@ class MmsimSolver {
   /// Theorem 2's bound assumes the exact Schur complement; with the
   /// tridiagonal approximation D the admissible range is empirically
   /// narrower (see bench/ablation_parameters), so the suggestion is
-  /// additionally capped at the paper's validated 0.5 — auto-θ exists to
-  /// *shrink* θ* on unusual instances, never to enlarge it. Returns
-  /// options.theta unchanged when m = 0.
+  /// additionally capped at the paper's validated 0.5 — the probe exists to
+  /// *shrink* θ* on unusual instances (the escalated recovery rung's
+  /// reprobe_theta), never to enlarge it. Returns options.theta unchanged
+  /// when m = 0.
   double suggest_theta() const;
 
   /// μ_max estimate of Γ = D⁻¹ B K⁻¹ Bᵀ (power iteration).

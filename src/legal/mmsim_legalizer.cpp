@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -40,13 +41,11 @@ constexpr std::size_t kGrainComponents = 1;
 /// extract(i) must be pure (it may run in any order, on any thread) and
 /// consume(i, problem) must write only i-keyed state — under those rules
 /// the results are schedule-independent exactly like a plain parallel_for.
-/// Lanes claim component indices from a shared cursor; with staging
-/// disabled (MCH_SCHED_STAGING=0 / options) the legacy extract-then-consume
-/// parallel_for runs instead.
+/// Lanes claim component indices from a shared cursor.
 template <typename ExtractFn, typename ConsumeFn>
-void staged_component_loop(std::size_t num, bool staged, ExtractFn&& extract,
+void staged_component_loop(std::size_t num, ExtractFn&& extract,
                            ConsumeFn&& consume) {
-  if (!staged || num < 2) {
+  if (num < 2) {
     parallel_for(std::size_t{0}, num, kGrainComponents,
                  [&](std::size_t lo, std::size_t hi) {
                    for (std::size_t i = lo; i < hi; ++i)
@@ -98,7 +97,7 @@ struct SolveOutcome {
   Vector x;  ///< global primal solution
   std::size_t iterations = 0;
   bool converged = false;
-  /// Cells whose component exhausted the recovery ladder: their slots in x
+  /// Cells of components solve_components gave up on: their slots in x
   /// hold row-assigned snap positions, and the write-back clamps them into
   /// the chip instead of trusting an unconverged iterate.
   std::vector<std::size_t> clamped_cells;
@@ -117,14 +116,6 @@ std::vector<ComponentProblem> extract_components(
                        partition.component_constraints[c]);
                });
   return components;
-}
-
-/// Scatters each component's primal part into the global x.
-void scatter_primal(const std::vector<ComponentProblem>& components,
-                    const std::vector<Vector>& local_x, Vector& x) {
-  for (std::size_t c = 0; c < components.size(); ++c)
-    for (std::size_t v = 0; v < components[c].variables.size(); ++v)
-      x[components[c].variables[v]] = local_x[c][v];
 }
 
 /// Monolithic reference path (PartitionMode::kOff). Iterates in workspace
@@ -245,246 +236,68 @@ lcp::LcpSolverKind pick_solver(std::size_t num_variables,
   return lcp::LcpSolverKind::kMmsim;
 }
 
-lcp::LcpSolverKind pick_solver(const ComponentProblem& component,
-                               const SolverPolicy& policy) {
-  return pick_solver(component.variables.size(), component.constraints.size(),
-                     policy);
-}
-
-/// Tiered driver (PartitionMode::kTiered): each component gets the solver
-/// its size calls for and terminates independently — the sum of iterations
-/// across components is what the decomposition saves versus running every
-/// component to the globally slowest count.
-SolveOutcome solve_tiered(const LegalizationModel& model,
-                          const std::vector<ComponentProblem>& components,
-                          const lcp::MmsimOptions& mmsim_options,
-                          const SolverPolicy& policy,
-                          lcp::SolverWorkspace& workspace,
-                          MmsimLegalizerStats& stats) {
-  const std::size_t num = components.size();
-  workspace.prepare(num);
-  // Zeroed on entry so an escalated-retry pass overwrites the counters of
-  // the failed pass instead of double-counting.
-  stats.components_mmsim = stats.components_psor = stats.components_lemke = 0;
-  stats.component_iterations = 0;
-  std::vector<lcp::LcpSolverKind> kinds(num);
-  std::vector<lcp::LcpSolveResult> results(num);
-  parallel_for(
-      std::size_t{0}, num, kGrainComponents,
-      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t c = lo; c < hi; ++c) {
-          kinds[c] = pick_solver(components[c], policy);
-          obs::TraceSpan span("solve.component");
-          span.arg("component", c)
-              .arg("vars", components[c].variables.size())
-              .arg("rows", components[c].constraints.size())
-              .arg("solver", lcp::to_string(kinds[c]));
-          lcp::LcpSolverConfig config;
-          config.mmsim = mmsim_options;
-          config.schur_coupling_breaks = &components[c].schur_coupling_breaks;
-          // Match the MMSIM stopping quality so the tiers agree on accuracy.
-          config.psor.tolerance = mmsim_options.tolerance;
-          config.psor.max_iterations = mmsim_options.max_iterations;
-          // Workspace-backed, warm-started solve: slot c keeps the previous
-          // pass's iterate for this component slot, and the solver starts
-          // from it when the shape still matches. Tiered mode terminates
-          // per component on tolerance anyway, so a warm start only trims
-          // iterations — kOff/kMatch stay cold to keep their bitwise
-          // contracts. Slots are distinct per component, so the parallel
-          // solves never share one.
-          results[c] =
-              lcp::make_lcp_solver(kinds[c], components[c].qp, config)
-                  ->solve(&workspace.slot(c), /*warm_start=*/true);
-          span.arg("iterations", results[c].iterations)
-              .arg("warm", results[c].warm_started)
-              .arg("finished", results[c].finished);
-        }
-      });
-
-  SolveOutcome outcome;
-  outcome.converged = true;
-  std::vector<Vector> local_x(num);
-  for (std::size_t c = 0; c < num; ++c) {
-    switch (kinds[c]) {
-      case lcp::LcpSolverKind::kMmsim:
-        ++stats.components_mmsim;
-        break;
-      case lcp::LcpSolverKind::kPsor:
-        ++stats.components_psor;
-        break;
-      case lcp::LcpSolverKind::kLemke:
-        ++stats.components_lemke;
-        break;
-    }
-    stats.component_iterations += results[c].iterations;
-    stats.phase.accumulate(results[c].phase);
-    outcome.iterations = std::max(outcome.iterations, results[c].iterations);
-    if (!results[c].converged) {
-      outcome.converged = false;
-      MCH_LOG(kWarn) << "component " << c << " ("
-                     << lcp::to_string(kinds[c]) << ", size "
-                     << components[c].variables.size() +
-                            components[c].constraints.size()
-                     << ") did not converge in " << results[c].iterations
-                     << " iterations";
-    }
-    local_x[c] = std::move(results[c].x);
-  }
-  outcome.x.assign(model.num_variables(), 0.0);
-  scatter_primal(components, local_x, outcome.x);
-  return outcome;
-}
-
-/// Component-at-a-time tiered driver: each worker extracts one component
-/// sub-problem, solves it, scatters its primal part into the global x, and
-/// releases it before taking the next. Components are visited largest-first
-/// so the big extractions never pile up concurrently behind the tail — the
-/// solve's high-water mark holds at most one sub-problem per pool thread
-/// instead of every component at once. Per-component results are identical
-/// to solve_tiered's: each depends only on the component's QP and its
-/// workspace slot (still keyed by component id), and the stats fold in
-/// component-id order regardless of schedule.
-SolveOutcome solve_tiered_streamed(const LegalizationModel& model,
+/// Runs solve_components over every component of the partition, each job
+/// backed by the workspace slot of its component id. Two callers:
+///
+///   * the tiered pass (PartitionMode::kTiered) and its escalated retry,
+///     with the ladder off: every component gets the solver its size calls
+///     for and terminates on its own. run_mode has already consumed the
+///     forced failures, and a failed pass is answered by the escalated
+///     retry or the rungs below, so stats.recovery stays untouched. The
+///     per-pass counters are overwritten (a retry does not double-count)
+///     and include the iterations of the components that failed the pass;
+///   * rungs 2+ of the escalation ladder, with the real ladder: components
+///     that already converge pass straight through their primary solver,
+///     failing ones walk escalated MMSIM → cold-restart MMSIM → PSOR →
+///     Lemke, and exhausted ones degrade to snap clamps recorded as
+///     SolveFailures — never an unconverged iterate.
+SolveOutcome solve_every_component(const db::Design& design,
+                                   const LegalizationModel& model,
                                    const ConstraintPartition& partition,
+                                   MmsimLegalizerOptions options,
                                    const lcp::MmsimOptions& mmsim_options,
-                                   const SolverPolicy& policy, bool staged,
+                                   const lcp::RecoveryOptions& ladder,
                                    lcp::SolverWorkspace& workspace,
                                    MmsimLegalizerStats& stats) {
-  const std::size_t num = partition.num_components();
-  workspace.prepare(num);
-  stats.components_mmsim = stats.components_psor = stats.components_lemke = 0;
-  stats.component_iterations = 0;
-
-  std::vector<std::size_t> order(num);
-  for (std::size_t c = 0; c < num; ++c) order[c] = c;
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    const std::size_t sa = partition.component_size(a);
-    const std::size_t sb = partition.component_size(b);
-    if (sa != sb) return sa > sb;
-    return a < b;
-  });
-
-  SolveOutcome outcome;
-  outcome.converged = true;
-  outcome.x.assign(model.num_variables(), 0.0);
-  std::vector<lcp::LcpSolverKind> kinds(num);
-  std::vector<lcp::LcpSolveResult> results(num);
-  staged_component_loop(
-      num, staged && runtime::Scheduler::staging_enabled(),
-      [&](std::size_t i) {
-        const std::size_t c = order[i];
-        obs::TraceSpan span("solve.extract");
-        span.arg("component", c)
-            .arg("vars", partition.component_variables[c].size())
-            .arg("rows", partition.component_constraints[c].size());
-        return model.component_problem(partition.component_variables[c],
-                                       partition.component_constraints[c]);
-      },
-      [&](std::size_t i, ComponentProblem component) {
-        const std::size_t c = order[i];
-        const auto& vars = partition.component_variables[c];
-        const auto& rows = partition.component_constraints[c];
-        kinds[c] = pick_solver(vars.size(), rows.size(), policy);
-        obs::TraceSpan span("solve.component");
-        span.arg("component", c)
-            .arg("vars", vars.size())
-            .arg("rows", rows.size())
-            .arg("solver", lcp::to_string(kinds[c]));
-        lcp::LcpSolverConfig config;
-        config.mmsim = mmsim_options;
-        config.schur_coupling_breaks = &component.schur_coupling_breaks;
-        config.psor.tolerance = mmsim_options.tolerance;
-        config.psor.max_iterations = mmsim_options.max_iterations;
-        results[c] = lcp::make_lcp_solver(kinds[c], component.qp, config)
-                         ->solve(&workspace.slot(c), /*warm_start=*/true);
-        span.arg("iterations", results[c].iterations)
-            .arg("warm", results[c].warm_started)
-            .arg("finished", results[c].finished);
-        // Scatter and drop the local solution before the next extraction.
-        // Variable sets are disjoint across components, so the shared
-        // writes are race-free.
-        for (std::size_t v = 0; v < vars.size(); ++v)
-          outcome.x[vars[v]] = results[c].x[v];
-        results[c].x = Vector();
-        results[c].dual = Vector();
-      });
-
-  for (std::size_t c = 0; c < num; ++c) {
-    switch (kinds[c]) {
-      case lcp::LcpSolverKind::kMmsim:
-        ++stats.components_mmsim;
-        break;
-      case lcp::LcpSolverKind::kPsor:
-        ++stats.components_psor;
-        break;
-      case lcp::LcpSolverKind::kLemke:
-        ++stats.components_lemke;
-        break;
-    }
-    stats.component_iterations += results[c].iterations;
-    stats.phase.accumulate(results[c].phase);
-    outcome.iterations = std::max(outcome.iterations, results[c].iterations);
-    if (!results[c].converged) {
-      outcome.converged = false;
-      MCH_LOG(kWarn) << "component " << c << " (" << lcp::to_string(kinds[c])
-                     << ", size "
-                     << partition.component_variables[c].size() +
-                            partition.component_constraints[c].size()
-                     << ") did not converge in " << results[c].iterations
-                     << " iterations";
-    }
-  }
-  return outcome;
-}
-
-/// Rungs 2+ of the escalation ladder: every component is routed through the
-/// per-component solver ladder (lcp::solve_with_recovery), so components
-/// that already converge pass straight through their primary solver while
-/// the failing ones walk escalated MMSIM → cold-restart MMSIM → PSOR →
-/// Lemke.
-/// Components whose ladder is exhausted degrade explicitly — their cells
-/// are set to row-assigned snap positions (gp_x clamped into the chip) and
-/// recorded as structured SolveFailures — never shipped as an unconverged
-/// iterate. Thin wrapper over solve_components with one job per component;
-/// sub-problems are extracted one worker at a time inside the solve.
-SolveOutcome recover_components(const db::Design& design,
-                                const LegalizationModel& model,
-                                const ConstraintPartition& partition,
-                                const lcp::MmsimOptions& mmsim_options,
-                                const SolverPolicy& policy,
-                                const lcp::RecoveryOptions& recovery,
-                                lcp::SolverWorkspace& workspace,
-                                MmsimLegalizerStats& stats) {
   const std::size_t num = partition.num_components();
   workspace.prepare(num);
   std::vector<ComponentSolveJob> jobs(num);
   for (std::size_t c = 0; c < num; ++c)
     jobs[c] = {&partition.component_variables[c],
                &partition.component_constraints[c], &workspace.slot(c), c};
-
-  MmsimLegalizerOptions solve_options;
-  solve_options.mmsim = mmsim_options;
-  solve_options.policy = policy;
+  options.mmsim = mmsim_options;
 
   SolveOutcome outcome;
   outcome.x.assign(model.num_variables(), 0.0);
-  ComponentSolveReport report = solve_components(
-      design, model, jobs, solve_options, recovery, outcome.x);
+  ComponentSolveReport report =
+      solve_components(design, model, jobs, options, ladder, outcome.x);
   outcome.converged = report.converged;
   outcome.iterations = report.iterations;
   outcome.clamped_cells = std::move(report.clamped_cells);
-
   stats.phase.accumulate(report.phase);
-  // Historical semantics: every component counts as routed through the
-  // ladder here (the report itself only counts beyond-primary ladders).
-  stats.recovery.component_ladders += num;
-  stats.recovery.ladder_attempts += report.recovery.ladder_attempts;
-  stats.recovery.extra_iterations += report.recovery.extra_iterations;
-  stats.recovery.recovered_components += report.recovery.recovered_components;
-  stats.recovery.clamped_components += report.recovery.clamped_components;
-  stats.recovery.clamped_cells += report.recovery.clamped_cells;
+
+  if (!ladder.enabled) {
+    stats.components_mmsim = report.components_mmsim;
+    stats.components_psor = report.components_psor;
+    stats.components_lemke = report.components_lemke;
+    stats.component_iterations = report.component_iterations;
+    for (const SolveFailure& failure : report.recovery.failures) {
+      outcome.iterations = std::max(outcome.iterations, failure.iterations);
+      stats.component_iterations += failure.iterations;
+    }
+    return outcome;
+  }
+  // Every component counts as routed through the ladder here (the report
+  // itself only counts beyond-primary ladders).
+  RecoveryStats& recovery = stats.recovery;
+  recovery.component_ladders += num;
+  recovery.ladder_attempts += report.recovery.ladder_attempts;
+  recovery.extra_iterations += report.recovery.extra_iterations;
+  recovery.recovered_components += report.recovery.recovered_components;
+  recovery.clamped_components += report.recovery.clamped_components;
+  recovery.clamped_cells += report.recovery.clamped_cells;
   for (SolveFailure& failure : report.recovery.failures)
-    stats.recovery.failures.push_back(std::move(failure));
+    recovery.failures.push_back(std::move(failure));
   return outcome;
 }
 
@@ -497,12 +310,28 @@ ComponentSolveReport solve_components(const db::Design& design,
                                       const lcp::RecoveryOptions& recovery,
                                       Vector& x) {
   const std::size_t num = jobs.size();
+  // Largest-first: the big sub-problems start early instead of trailing
+  // behind the tail, and their extractions never pile up concurrently.
+  // Each result depends only on its job's QP and slot, and the report
+  // below folds in job order, so the schedule changes no output.
+  const auto job_size = [&](std::size_t j) {
+    return jobs[j].variables->size() + jobs[j].constraints->size();
+  };
+  std::vector<std::size_t> order(num);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    const std::size_t sa = job_size(a);
+    const std::size_t sb = job_size(b);
+    if (sa != sb) return sa > sb;
+    return a < b;
+  });
+
   std::vector<lcp::LcpSolverKind> kinds(num);
   std::vector<lcp::RecoveredSolve> recovered(num);
   staged_component_loop(
       num,
-      options.staged_extraction && runtime::Scheduler::staging_enabled(),
-      [&](std::size_t c) {
+      [&](std::size_t i) {
+        const std::size_t c = order[i];
         obs::TraceSpan span("solve.extract");
         span.arg("component", jobs[c].component_id)
             .arg("vars", jobs[c].variables->size())
@@ -510,7 +339,8 @@ ComponentSolveReport solve_components(const db::Design& design,
         return model.component_problem(*jobs[c].variables,
                                        *jobs[c].constraints);
       },
-      [&](std::size_t c, ComponentProblem component) {
+      [&](std::size_t i, ComponentProblem component) {
+        const std::size_t c = order[i];
         const auto& vars = *jobs[c].variables;
         kinds[c] = pick_solver(vars.size(), jobs[c].constraints->size(),
                                options.policy);
@@ -525,10 +355,14 @@ ComponentSolveReport solve_components(const db::Design& design,
         lcp::LcpSolverConfig config;
         config.mmsim = options.mmsim;
         config.schur_coupling_breaks = &component.schur_coupling_breaks;
+        // Match the MMSIM stopping quality so the tiers agree on accuracy.
         config.psor.tolerance = options.mmsim.tolerance;
         config.psor.max_iterations = options.mmsim.max_iterations;
-        // Distinct jobs must hold distinct slots (the caller's contract),
-        // so the parallel solves never share one.
+        // Warm start from the slot's previous solve when the shape still
+        // matches: every solve here terminates on tolerance, so a warm
+        // start only trims iterations (kOff/kMatch stay cold for their
+        // bitwise contracts). Distinct jobs must hold distinct slots (the
+        // caller's contract), so the parallel solves never share one.
         recovered[c] = lcp::solve_with_recovery(
             kinds[c], component.qp, config, recovery, jobs[c].slot,
             /*warm_start=*/true);
@@ -590,7 +424,17 @@ ComponentSolveReport solve_components(const db::Design& design,
                                   failure.cells.end());
       report.recovery.clamped_cells += failure.cells.size();
       ++report.recovery.clamped_components;
-      MCH_LOG(kWarn) << "solver recovery: " << failure.summary();
+      if (recovery.enabled) {
+        MCH_LOG(kWarn) << "solver recovery: " << failure.summary();
+      } else {
+        // A primary-only pass: the caller decides what follows (the
+        // legalizer's escalated retry), so this is no ladder exhaustion.
+        MCH_LOG(kWarn) << "component " << failure.component << " ("
+                       << lcp::to_string(kinds[c]) << ", size "
+                       << failure.num_variables + failure.num_constraints
+                       << ") did not converge in " << failure.iterations
+                       << " iterations";
+      }
       report.recovery.failures.push_back(std::move(failure));
     } else {
       if (rec.rung != lcp::RecoveryRung::kPrimary)
@@ -674,25 +518,18 @@ MmsimLegalizerStats mmsim_legalize_continuous(
   stats.num_constraints = model.qp.num_constraints();
   obs::sample_rss("model_build");
 
-  lcp::MmsimOptions mmsim_options = options.mmsim;
+  const lcp::MmsimOptions& mmsim_options = options.mmsim;
   stats.simd_level = linalg::simd_level();
 
-  // Wall clock over the entire solve section — auto-θ probe, partitioning,
-  // per-solver setup, and the iterations — so solve_seconds means the same
-  // thing in every mode. The span mirrors the timer (optional so it can end
+  // Wall clock over the entire solve section — partitioning, per-solver
+  // setup, and the iterations — so solve_seconds means the same thing in
+  // every mode. The span mirrors the timer (optional so it can end
   // before the write-back without re-scoping the whole section).
   std::optional<obs::TraceSpan> solve_span;
   solve_span.emplace("legalize.solve");
   solve_span->arg("mode", to_string(mode))
       .arg("simd", linalg::simd_level_name(stats.simd_level));
   Timer solve_timer;
-  if (options.auto_theta) {
-    // Probe the monolithic system for the Theorem-2 bound. Running the
-    // probe globally keeps θ* identical across partition modes (and equal
-    // to the pre-decomposition behaviour).
-    const MmsimSolver probe(model.qp, mmsim_options);
-    mmsim_options.theta = probe.suggest_theta();
-  }
 
   // The workspace arena the solve drivers iterate in. The thread-local
   // default gives buffer reuse across outer calls with zero caller changes;
@@ -730,10 +567,9 @@ MmsimLegalizerStats mmsim_legalize_continuous(
     stats.max_component_size = partition.max_component_size();
     stats.mean_component_size = partition.mean_component_size();
     // Lockstep needs every per-component solver alive at once, so kMatch
-    // always extracts everything up front; the streamed tiered/recovery
-    // drivers extract one component per worker instead, unless the legacy
-    // extract-all layout was requested.
-    if (mode == PartitionMode::kMatch || !options.component_at_a_time)
+    // extracts everything up front; solve_components extracts one
+    // component per lane instead.
+    if (mode == PartitionMode::kMatch)
       components = extract_components(model, partition);
     partitioned = true;
     span.arg("components", partition.num_components())
@@ -751,13 +587,12 @@ MmsimLegalizerStats mmsim_legalize_continuous(
       ensure_partitioned();
       if (mode == PartitionMode::kMatch) {
         o = solve_lockstep(model, components, mo, workspace, stats);
-      } else if (options.component_at_a_time) {
-        o = solve_tiered_streamed(model, partition, mo, options.policy,
-                                  options.staged_extraction, workspace,
-                                  stats);
       } else {
-        o = solve_tiered(model, components, mo, options.policy, workspace,
-                         stats);
+        lcp::RecoveryOptions primary_only;
+        primary_only.enabled = false;
+        primary_only.forced_failures = 0;
+        o = solve_every_component(design, model, partition, options, mo,
+                                  primary_only, workspace, stats);
       }
     }
     ++attempts;
@@ -801,8 +636,9 @@ MmsimLegalizerStats mmsim_legalize_continuous(
       ladder.forced_failures = recovery.forced_failures > attempts
                                    ? recovery.forced_failures - attempts
                                    : 0;
-      outcome = recover_components(design, model, partition, mmsim_options,
-                                   options.policy, ladder, workspace, stats);
+      outcome = solve_every_component(design, model, partition, options,
+                                      mmsim_options, ladder, workspace,
+                                      stats);
       theta_used = escalated.theta;
     }
   }

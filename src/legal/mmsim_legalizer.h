@@ -24,6 +24,12 @@
 //               component stops as soon as *it* converges, which is where
 //               the decomposition's iteration savings come from. Results
 //               agree with the monolithic solve to solver tolerance.
+//
+// Three drivers serve them: the monolithic reference (kOff), the lockstep
+// driver (kMatch), and solve_components (below) — the one per-component
+// driver. kTiered's pass and its escalated retry, recovery rungs 2+ in
+// every mode, and the resident session's ECO requests all solve their
+// components through it.
 #pragma once
 
 #include <cstddef>
@@ -115,11 +121,6 @@ struct RecoveryStats {
 struct MmsimLegalizerOptions {
   ModelOptions model;        ///< λ penalty (paper: 1000)
   lcp::MmsimOptions mmsim;   ///< β*, θ*, γ, tolerance (paper: 0.5/0.5)
-  /// When true, θ* is re-derived from the Theorem-2 bound via power
-  /// iteration instead of using options.mmsim.theta. Under partitioning the
-  /// probe runs on the monolithic system, so the derived θ* is identical in
-  /// every mode.
-  bool auto_theta = false;
   PartitionMode partition = PartitionMode::kAuto;
   SolverPolicy policy;       ///< used by PartitionMode::kTiered
   /// Solver scratch arena reused across components and across calls (see
@@ -135,32 +136,15 @@ struct MmsimLegalizerOptions {
   lcp::SolverWorkspace* workspace = nullptr;
   /// Non-convergence escalation ladder (see lcp/solver.h). forced_failures
   /// is additionally resolved from MCH_FORCE_SOLVER_FAILURE for the
-  /// fault-injection ctest variant. Disable to restore the legacy behavior
-  /// of surfacing converged == false without retrying (the unconverged
-  /// iterate is still written back then — tests of the surfacing path only).
+  /// fault-injection ctest variant. Disable to surface converged == false
+  /// without retrying (tests of the surfacing path only): kOff and kMatch
+  /// then write back the unconverged iterate, while kTiered snap-clamps the
+  /// unconverged components like every solve_components failure.
   lcp::RecoveryOptions recovery;
   /// Absolute tolerance of the post-recovery legality audit. The audited
   /// result is continuous (pre-snap), so the tolerance must absorb solver
   /// tolerance and residual λ-mismatch; 1e-2 is far below a site width.
   double audit_tolerance = 1e-2;
-  /// Component-at-a-time scheduling for kTiered and the recovery rungs:
-  /// each worker extracts one component sub-problem, solves it, scatters
-  /// the solution, and releases it before taking the next, visiting
-  /// components largest-first. The solve's high-water mark then holds at
-  /// most one extracted sub-problem per pool thread instead of every
-  /// component at once. Per-component results are unchanged (each depends
-  /// only on its own QP and workspace slot); false restores the legacy
-  /// extract-everything-up-front layout. kMatch always extracts all — its
-  /// lockstep driver needs every per-component solver alive at once.
-  bool component_at_a_time = true;
-
-  /// Double-buffered staging for the component-at-a-time drivers: each lane
-  /// extracts the next component's gather tables before the current solve
-  /// occupies it, so solves never wait on extraction (at most two live
-  /// sub-problems per lane). Results are unchanged — extraction is pure and
-  /// every result is keyed by component id. Also gated globally by
-  /// MCH_SCHED_STAGING (runtime::Scheduler::staging_enabled()).
-  bool staged_extraction = true;
 
   // Session hooks (src/service/): a resident session builds the model once
   // per request itself and keeps the solution/partition across requests.
@@ -192,8 +176,8 @@ struct MmsimLegalizerStats {
   double max_mismatch = 0.0;     ///< worst subcell disagreement before restore
   double theta_used = 0.0;
   double model_seconds = 0.0;
-  /// Wall-clock time of the whole solve section, including solver setup
-  /// and the auto-θ probe when enabled.
+  /// Wall-clock time of the whole solve section, including partitioning
+  /// and solver setup.
   double solve_seconds = 0.0;
   double objective = 0.0;        ///< relaxed QP objective at the solution
 
@@ -265,13 +249,19 @@ struct ComponentSolveReport {
 /// Solves an explicit set of components of `model` — each through the
 /// tiered solver policy and the per-component escalation ladder — and
 /// scatters every primal solution into the global vector `x` (entries of
-/// other components are left untouched). Each job's sub-problem is
-/// extracted, solved, scattered, and released inside its worker, so at most
-/// one extraction per pool thread is live at a time. Jobs run in parallel;
-/// each slot warm-starts its solve when it holds a matching-shape payload,
-/// and exhausted ladders degrade to snap clamps exactly like the full
-/// legalizer. This is the session/ECO building block: the caller decides
-/// which components are dirty and which slot backs each one.
+/// other components are left untouched). Jobs run in parallel, largest
+/// (n + m) first; each job's sub-problem is extracted, solved, scattered,
+/// and released inside its lane, with the next one staged while it solves,
+/// so at most two extractions per lane are live at a time. Each slot
+/// warm-starts its solve when it holds a matching-shape payload, and
+/// exhausted ladders degrade to snap clamps. The report folds in job order,
+/// so neither the schedule nor the thread count changes any output. With
+/// recovery.enabled == false a failed primary solve is snap-clamped at
+/// once; the legalizer's tiered pass runs that way and escalates the whole
+/// pass itself. This is the one per-component driver: the legalizer's
+/// tiered pass and recovery rungs and the session's ECO requests all call
+/// it; the caller decides which components to solve and which slot backs
+/// each one.
 ComponentSolveReport solve_components(const db::Design& design,
                                       const LegalizationModel& model,
                                       const std::vector<ComponentSolveJob>& jobs,

@@ -131,9 +131,8 @@ LegalizationModel build_model(const db::Design& design,
 /// Reference assembler: stages every constraint in a COO triplet list and
 /// converts at the end. Produces a bit-identical model to build_model —
 /// ctest enforces this across the generator's spec families — and survives
-/// as the oracle for that equivalence plus a baseline for the memory
-/// scaling bench (bench/scaling_memory.cpp). Not for production use: its
-/// staging roughly doubles the build's peak memory.
+/// as the oracle for that equivalence. Not for production use: its staging
+/// roughly doubles the build's peak memory.
 LegalizationModel build_model_monolithic(const db::Design& design,
                                          const RowAssignment& base_rows,
                                          const ModelOptions& options = {});

@@ -49,7 +49,6 @@ bool env_flag(const char* name, bool default_value) {
 /// otherwise 0/1. Setters overwrite, so tests can flip them after start.
 std::atomic<int> g_nested_scheduling{-1};
 std::atomic<int> g_steal_first{-1};
-std::atomic<int> g_staging{-1};
 
 bool resolve_flag(std::atomic<int>& cell, const char* env_name,
                   bool default_value) {
@@ -108,18 +107,9 @@ void Scheduler::set_steal_first(bool enabled) {
   g_steal_first.store(enabled ? 1 : 0, std::memory_order_relaxed);
 }
 
-bool Scheduler::staging_enabled() {
-  return resolve_flag(g_staging, "MCH_SCHED_STAGING", true);
-}
-
-void Scheduler::set_staging(bool enabled) {
-  g_staging.store(enabled ? 1 : 0, std::memory_order_relaxed);
-}
-
 void Scheduler::reset_knobs() {
   g_nested_scheduling.store(-1, std::memory_order_relaxed);
   g_steal_first.store(-1, std::memory_order_relaxed);
-  g_staging.store(-1, std::memory_order_relaxed);
 }
 
 void Scheduler::note_nested_inline(std::size_t chunks) {

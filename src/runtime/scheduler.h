@@ -122,11 +122,6 @@ class Scheduler {
   static bool steal_first();
   static void set_steal_first(bool enabled);
 
-  /// Component-staging knob (the legalizer's double-buffered gather-table
-  /// prefetch); default from MCH_SCHED_STAGING (on unless "0").
-  static bool staging_enabled();
-  static void set_staging(bool enabled);
-
   /// Forgets every set_* override so the next query re-resolves from the
   /// environment; test teardowns call this instead of guessing defaults
   /// (sanitizer jobs sweep MCH_SCHED_* across whole test binaries).

@@ -2,12 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <thread>
+#include <vector>
 
 #include "baselines/abacus.h"
 #include "db/legality.h"
 #include "gen/generator.h"
+#include "lcp/workspace.h"
+#include "legal/model.h"
+#include "legal/partition.h"
 
 namespace mch::legal {
 namespace {
@@ -76,28 +81,6 @@ TEST(MmsimLegalizerTest, MatchesPlaceRowOnSingleHeightFixedRows) {
     EXPECT_NEAR(mmsim_design.cells()[i].x, placerow_design.cells()[i].x,
                 1e-4)
         << "cell " << i;
-}
-
-TEST(MmsimLegalizerTest, AutoThetaConvergesToSameSolution) {
-  db::Design a = small_design(120, 20, 0.6, 9);
-  db::Design b = a;
-  const RowAssignment rows_a = assign_rows(a);
-  const RowAssignment rows_b = assign_rows(b);
-
-  MmsimLegalizerOptions fixed;
-  fixed.mmsim.tolerance = 1e-8;
-  const MmsimLegalizerStats sa = mmsim_legalize_continuous(a, rows_a, fixed);
-
-  MmsimLegalizerOptions automatic = fixed;
-  automatic.auto_theta = true;
-  const MmsimLegalizerStats sb =
-      mmsim_legalize_continuous(b, rows_b, automatic);
-
-  EXPECT_TRUE(sa.converged);
-  EXPECT_TRUE(sb.converged);
-  EXPECT_GT(sb.theta_used, 0.0);
-  for (std::size_t i = 0; i < a.num_cells(); ++i)
-    EXPECT_NEAR(a.cells()[i].x, b.cells()[i].x, 1e-4);
 }
 
 TEST(MmsimLegalizerTest, StatsPopulated) {
@@ -201,6 +184,186 @@ TEST(MmsimLegalizerTest, PreservesCellOrderingWithinRows) {
       else
         EXPECT_LE(b.x, a.x + 1e-6) << i << " vs " << j;
     }
+}
+
+// Jobs for solve_components over every component of `partition`, slot c of
+// `workspace` backing component c — the layout the legalizer's tiered pass
+// uses.
+std::vector<ComponentSolveJob> every_component(
+    const ConstraintPartition& partition, lcp::SolverWorkspace& workspace) {
+  workspace.prepare(partition.num_components());
+  std::vector<ComponentSolveJob> jobs(partition.num_components());
+  for (std::size_t c = 0; c < jobs.size(); ++c)
+    jobs[c] = {&partition.component_variables[c],
+               &partition.component_constraints[c], &workspace.slot(c), c};
+  return jobs;
+}
+
+void expect_failures_equal(const SolveFailure& a, const SolveFailure& b) {
+  EXPECT_EQ(a.component, b.component);
+  EXPECT_EQ(a.num_variables, b.num_variables);
+  EXPECT_EQ(a.num_constraints, b.num_constraints);
+  EXPECT_EQ(a.attempts, b.attempts);
+  EXPECT_EQ(a.iterations, b.iterations);
+  EXPECT_EQ(a.cells, b.cells);
+}
+
+// The tiered pass is solve_components over every component: a one-shot
+// tiered legalize in a fresh arena writes the same solution bits and the
+// same per-solver counts and iterations as calling it directly on the same
+// prebuilt model and partition. Recovery is off on both sides so the
+// fault-injection variant cannot send the legalizer into its escalated
+// retry.
+TEST(MmsimLegalizerTest, TieredPassIsSolveComponentsOverEveryComponent) {
+  db::Design design = gen::generate_scale_design(
+      gen::ScaleVariant::kObstacleHeavy, 1200, 17);
+  const db::Design reference = design;
+  const RowAssignment rows = assign_rows(design);
+  ConstraintPartition partition;
+  const LegalizationModel model = build_model(design, rows, {}, &partition);
+  ASSERT_GT(partition.num_components(), 1u);
+
+  lcp::SolverWorkspace legalizer_arena;
+  lcp::Vector solution;
+  MmsimLegalizerOptions options;
+  options.partition = PartitionMode::kTiered;
+  options.recovery.enabled = false;
+  options.prebuilt_model = &model;
+  options.prebuilt_partition = &partition;
+  options.workspace = &legalizer_arena;
+  options.solution_out = &solution;
+  const MmsimLegalizerStats stats =
+      mmsim_legalize_continuous(design, rows, options);
+  ASSERT_TRUE(stats.converged);
+
+  lcp::SolverWorkspace direct_arena;
+  lcp::Vector x(model.num_variables(), 0.0);
+  lcp::RecoveryOptions primary_only;
+  primary_only.enabled = false;
+  const ComponentSolveReport report =
+      solve_components(reference, model, every_component(partition,
+                                                         direct_arena),
+                       options, primary_only, x);
+
+  EXPECT_TRUE(report.converged);
+  EXPECT_EQ(solution, x);
+  EXPECT_EQ(stats.components_mmsim, report.components_mmsim);
+  EXPECT_EQ(stats.components_psor, report.components_psor);
+  EXPECT_EQ(stats.components_lemke, report.components_lemke);
+  EXPECT_EQ(stats.components_mmsim + stats.components_psor +
+                stats.components_lemke,
+            partition.num_components());
+  EXPECT_EQ(stats.iterations, report.iterations);
+  EXPECT_EQ(stats.component_iterations, report.component_iterations);
+  EXPECT_FALSE(stats.recovery.attempted());
+}
+
+// solve_components schedules its jobs largest-first but folds the report in
+// job order, and every result depends only on its job's QP and slot: the
+// same jobs handed over in reverse write the same x and the same report,
+// with the failure records in (reversed) job order. A 3-iteration budget
+// and a 64-wide Lemke rung make the ladder exhaust the large components
+// and recover small ones, so failures, clamps and recoveries all show.
+TEST(MmsimLegalizerTest, SolveComponentsIndependentOfJobOrder) {
+  db::Design design = gen::generate_scale_design(
+      gen::ScaleVariant::kObstacleHeavy, 1200, 17);
+  const RowAssignment rows = assign_rows(design);
+  ConstraintPartition partition;
+  const LegalizationModel model = build_model(design, rows, {}, &partition);
+
+  MmsimLegalizerOptions options;
+  options.mmsim.max_iterations = 3;
+  lcp::RecoveryOptions ladder;
+  ladder.lemke_fallback_max_size = 64;
+
+  lcp::SolverWorkspace forward_arena;
+  lcp::Vector forward_x(model.num_variables(), 0.0);
+  const ComponentSolveReport forward =
+      solve_components(design, model, every_component(partition,
+                                                      forward_arena),
+                       options, ladder, forward_x);
+
+  lcp::SolverWorkspace reverse_arena;
+  std::vector<ComponentSolveJob> reversed =
+      every_component(partition, reverse_arena);
+  std::reverse(reversed.begin(), reversed.end());
+  lcp::Vector reverse_x(model.num_variables(), 0.0);
+  const ComponentSolveReport reverse =
+      solve_components(design, model, reversed, options, ladder, reverse_x);
+
+  ASSERT_FALSE(forward.recovery.failures.empty());
+  EXPECT_GT(forward.recovery.recovered_components, 0u);
+  EXPECT_EQ(forward_x, reverse_x);
+  EXPECT_EQ(forward.iterations, reverse.iterations);
+  EXPECT_EQ(forward.component_iterations, reverse.component_iterations);
+  EXPECT_EQ(forward.components_mmsim, reverse.components_mmsim);
+  EXPECT_EQ(forward.components_psor, reverse.components_psor);
+  EXPECT_EQ(forward.components_lemke, reverse.components_lemke);
+  EXPECT_EQ(forward.warm_started, reverse.warm_started);
+  EXPECT_EQ(forward.converged, reverse.converged);
+  EXPECT_EQ(forward.recovery.component_ladders,
+            reverse.recovery.component_ladders);
+  EXPECT_EQ(forward.recovery.ladder_attempts,
+            reverse.recovery.ladder_attempts);
+  EXPECT_EQ(forward.recovery.extra_iterations,
+            reverse.recovery.extra_iterations);
+  EXPECT_EQ(forward.recovery.recovered_components,
+            reverse.recovery.recovered_components);
+  EXPECT_EQ(forward.recovery.clamped_components,
+            reverse.recovery.clamped_components);
+  EXPECT_EQ(forward.recovery.clamped_cells, reverse.recovery.clamped_cells);
+
+  // Failures (and the clamped cells they list) follow job order.
+  const std::vector<SolveFailure>& f = forward.recovery.failures;
+  const std::vector<SolveFailure>& r = reverse.recovery.failures;
+  ASSERT_EQ(f.size(), r.size());
+  for (std::size_t i = 0; i < f.size(); ++i) {
+    SCOPED_TRACE(i);
+    expect_failures_equal(f[i], r[f.size() - 1 - i]);
+    if (i > 0) {
+      EXPECT_LT(f[i - 1].component, f[i].component);
+    }
+  }
+  std::vector<std::size_t> expected_cells;
+  for (auto it = f.rbegin(); it != f.rend(); ++it)
+    expected_cells.insert(expected_cells.end(), it->cells.begin(),
+                          it->cells.end());
+  EXPECT_EQ(reverse.clamped_cells, expected_cells);
+}
+
+// With recovery disabled an unconverged tiered component is snap-clamped
+// like every other solve_components failure, never shipped as an iterate:
+// a 1-iteration budget (MMSIM never stops before its second iteration)
+// leaves every cell at its gp_x clamped into the chip.
+TEST(MmsimLegalizerTest, TieredUnconvergedComponentsAreSnapClamped) {
+  db::Design design = small_design(300, 40, 0.7, 31);
+  const db::Design input = design;
+  const RowAssignment rows = assign_rows(design);
+
+  lcp::SolverWorkspace arena;
+  MmsimLegalizerOptions options;
+  options.partition = PartitionMode::kTiered;
+  options.recovery.enabled = false;
+  options.mmsim.max_iterations = 1;
+  options.policy.lemke_max_size = 0;  // every component on MMSIM
+  options.policy.psor_for_unconstrained = false;
+  options.workspace = &arena;
+  const MmsimLegalizerStats stats =
+      mmsim_legalize_continuous(design, rows, options);
+
+  EXPECT_FALSE(stats.converged);
+  EXPECT_EQ(stats.iterations, 1u);
+  EXPECT_EQ(stats.components_mmsim, stats.num_components);
+  EXPECT_EQ(stats.component_iterations, stats.num_components);
+  EXPECT_FALSE(stats.recovery.attempted());
+  const double chip_width = design.chip().width();
+  for (std::size_t i = 0; i < design.num_cells(); ++i) {
+    const db::Cell& cell = input.cells()[i];
+    if (cell.fixed) continue;
+    const double snap =
+        std::clamp(cell.gp_x, 0.0, std::max(0.0, chip_width - cell.width));
+    EXPECT_DOUBLE_EQ(design.cells()[i].x, snap) << "cell " << i;
+  }
 }
 
 }  // namespace

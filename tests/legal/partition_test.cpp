@@ -148,12 +148,11 @@ db::Design invariance_design() {
 }
 
 MmsimLegalizerStats run_mode(const db::Design& base, PartitionMode mode,
-                             db::Design& out, bool auto_theta = false) {
+                             db::Design& out) {
   out = base;
   const RowAssignment rows = assign_rows(out);
   MmsimLegalizerOptions options;
   options.partition = mode;
-  options.auto_theta = auto_theta;
   return mmsim_legalize_continuous(out, rows, options);
 }
 
@@ -179,20 +178,6 @@ TEST(PartitionTest, LockstepMatchesMonolithicBitwise) {
     EXPECT_EQ(mono.cells()[c].x, part.cells()[c].x) << "cell " << c;
     EXPECT_EQ(mono.cells()[c].y, part.cells()[c].y) << "cell " << c;
   }
-}
-
-TEST(PartitionTest, LockstepMatchesMonolithicUnderAutoTheta) {
-  const db::Design base = invariance_design();
-  db::Design mono, part;
-  const MmsimLegalizerStats off =
-      run_mode(base, PartitionMode::kOff, mono, /*auto_theta=*/true);
-  const MmsimLegalizerStats match =
-      run_mode(base, PartitionMode::kMatch, part, /*auto_theta=*/true);
-  // The θ probe runs on the monolithic system in every mode.
-  EXPECT_EQ(off.theta_used, match.theta_used);
-  EXPECT_EQ(off.iterations, match.iterations);
-  for (std::size_t c = 0; c < mono.num_cells(); ++c)
-    EXPECT_EQ(mono.cells()[c].x, part.cells()[c].x) << "cell " << c;
 }
 
 TEST(PartitionTest, TieredMatchesMonolithicWithinTolerance) {

@@ -5,7 +5,7 @@
 # disabled-overhead smoke (BM_MmsimIterations/32768 vs the committed
 # snapshot), the multi-client scheduler bench (bitwise stability + parallel
 # efficiency of concurrent request submission), an AddressSanitizer job
-# over the solver/legalizer suites (the workspace arena hands slot
+# over the solver/legalizer/session suites (the workspace arena hands slot
 # references to parallel workers — ASan is what would catch a stale one), a
 # UBSan job over the SIMD kernel suites, and a ThreadSanitizer job
 # over the work-stealing scheduler (concurrent submitters, stolen tickets,
@@ -168,7 +168,7 @@ if [[ "$FAST" == 0 ]]; then
   ASAN_TARGETS=(
     lcp_mmsim_test lcp_mmsim_fused_test lcp_solver_test lcp_psor_test
     lcp_mmsim_finisher_test legal_mmsim_legalizer_test legal_partition_test
-    linalg_csr_test
+    legal_model_stream_test service_session_test linalg_csr_test
   )
   for t in "${ASAN_TARGETS[@]}"; do
     cmake --build build-asan -j4 --target "$t"
@@ -207,17 +207,16 @@ fi
 if [[ "$BIGMEM" == 1 ]]; then
   echo "== bigmem: 1M-cell legalization under an address-space cap =="
   # Opt-in (several minutes of solve time): legalize the 1M-cell baseline
-  # scale design end to end inside a ulimit -v cap. The streamed spine
-  # peaks near 0.5 GB at 1M cells and the pre-refactor layout needed ~1.1 GB
-  # (see results/scaling_memory.txt), so a 1 GiB address-space cap gives
-  # the current layout 2x headroom while a regression that reintroduces a
-  # staging copy or an extract-everything high-water mark aborts on
-  # allocation instead of silently fitting. Requires the Release bench
-  # build from the tier-1 step above.
+  # scale design end to end (streamed model build, tiered solve) inside a
+  # ulimit -v cap. The streamed spine peaks near 0.5 GB at 1M cells, so a
+  # 1 GiB address-space cap gives it 2x headroom while a regression that
+  # reintroduces a COO staging copy or an extract-everything high-water
+  # mark aborts on allocation instead of silently fitting. Requires the
+  # Release bench build from the tier-1 step above.
   cmake --build build -j4 --target scaling_memory
   (
     ulimit -v $((1024 * 1024))  # 1 GiB of address space
-    build/bench/scaling_memory --point baseline 1000000 streamed
+    build/bench/scaling_memory --point baseline 1000000
   )
 fi
 
