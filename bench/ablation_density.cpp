@@ -16,7 +16,6 @@ int main() {
 
   io::Table table({"Density", "#I. Cell", "%I. Cell", "Disp/cell (sites)",
                    "dHPWL", "Iterations", "Time (s)", "legal"});
-  bench::JsonSnapshot json("ablation_density");
   for (const double density :
        {0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.85, 0.9, 0.95}) {
     gen::GeneratorOptions options;
@@ -36,9 +35,6 @@ int main() {
         .cell(result.solver_iterations)
         .cell(result.seconds, 2)
         .cell(result.legal ? "yes" : "NO");
-    char name[32];
-    std::snprintf(name, sizeof(name), "density/%.2f", density);
-    json.add(name, result.num_cells, result.seconds);
     std::cerr << "." << std::flush;
   }
   std::cerr << "\n";
@@ -47,6 +43,5 @@ int main() {
                "rising sharply past ~0.8, mirroring Table 1's des_perf_1 "
                "and fft_1 outliers.\n";
   mch::bench::print_peak_rss();
-  json.write();
   return 0;
 }

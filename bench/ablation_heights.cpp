@@ -32,7 +32,6 @@ int main() {
 
   io::Table table({"Height mix", "#1", "#2", "#3", "#4", "#I. Cell",
                    "Disp/cell", "Iterations", "Time (s)", "legal"});
-  bench::JsonSnapshot json("ablation_heights");
   for (const Mix& mix : mixes) {
     gen::GeneratorOptions options;
     options.seed = bench::bench_seed();
@@ -56,7 +55,6 @@ int main() {
         .cell(result.solver_iterations)
         .cell(result.seconds, 2)
         .cell(result.legal ? "yes" : "NO");
-    json.add(mix.label, result.num_cells, result.seconds);
     std::cerr << "." << std::flush;
   }
   std::cerr << "\n";
@@ -66,6 +64,5 @@ int main() {
                "heights are free of the rail constraint, so triples are "
                "easier to seat than doubles.\n";
   mch::bench::print_peak_rss();
-  json.write();
   return 0;
 }

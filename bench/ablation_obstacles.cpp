@@ -23,7 +23,6 @@ int main() {
 
   io::Table table({"#Macros", "Disp MMSIM", "Disp Local", "Disp Tetris",
                    "#I. Cell", "Iterations", "t MMSIM (s)", "all legal"});
-  bench::JsonSnapshot json("ablation_obstacles");
   for (const std::size_t macros : {0, 2, 4, 8, 16, 32}) {
     gen::GeneratorOptions options;
     options.seed = bench::bench_seed();
@@ -52,8 +51,6 @@ int main() {
         .cell(flow.solver.iterations)
         .cell(flow.total_seconds, 2)
         .cell(all_legal ? "yes" : "NO");
-    json.add("macros/" + std::to_string(macros), base.num_cells(),
-             flow.total_seconds);
     std::cerr << "." << std::flush;
   }
   std::cerr << "\n";
@@ -62,6 +59,5 @@ int main() {
                "method; the MMSIM keeps its lead because the obstacle "
                "bounds enter the QP exactly.\n";
   mch::bench::print_peak_rss();
-  json.write();
   return 0;
 }

@@ -65,7 +65,6 @@ int main() {
                 2.0 * (2.0 - 0.5) / (0.5 * probe.estimate_mu_max()));
   }
 
-  bench::JsonSnapshot json("ablation_parameters");
   std::printf("1) theta sweep (beta=0.5, tol=1e-6)\n");
   io::Table theta_table({"theta", "iterations", "converged", "seconds"});
   for (const double theta : {0.1, 0.25, 0.5, 0.6, 0.8, 1.0, 1.5}) {
@@ -76,9 +75,6 @@ int main() {
     const lcp::MmsimSolver solver(inst.model.qp, o);
     Timer timer;
     const lcp::MmsimResult r = solver.solve();
-    char name[32];
-    std::snprintf(name, sizeof(name), "theta/%.2f", theta);
-    json.add(name, inst.model.num_variables(), timer.seconds());
     theta_table.row()
         .cell(theta, 2)
         .cell(r.iterations)
@@ -97,9 +93,6 @@ int main() {
     const lcp::MmsimSolver solver(inst.model.qp, o);
     Timer timer;
     const lcp::MmsimResult r = solver.solve();
-    char name[32];
-    std::snprintf(name, sizeof(name), "beta/%.2f", beta);
-    json.add(name, inst.model.num_variables(), timer.seconds());
     beta_table.row()
         .cell(beta, 2)
         .cell(r.iterations)
@@ -201,6 +194,5 @@ int main() {
                 t_mmsim, t_lemke);
   }
   mch::bench::print_peak_rss();
-  json.write();
   return 0;
 }

@@ -18,16 +18,12 @@
 // are scale-invariant; see EXPERIMENTS.md.
 #pragma once
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <string>
-#include <utility>
-#include <vector>
 
 #include "gen/generator.h"
-#include "linalg/simd.h"
 #include "runtime/options.h"
-#include "runtime/runtime.h"
 #include "util/rss.h"
 
 namespace mch::bench {
@@ -93,66 +89,5 @@ inline gen::GeneratorOptions bench_options() {
   options.seed = bench_seed();
   return options;
 }
-
-/// Machine-readable sibling of a results/*.txt snapshot. Each record is one
-/// measured case (a benchmark design or a google-benchmark run); the file
-/// carries the same provenance the text banner does — build type, active
-/// SIMD level, thread count — plus the process peak RSS at write time.
-///
-/// write() lands in `results/` relative to the working directory (the
-/// EXPERIMENTS.md commands run from the repo root); MCH_BENCH_JSON_DIR
-/// overrides the directory. A missing directory skips the write silently so
-/// ad-hoc runs from other directories do not fail or litter.
-class JsonSnapshot {
- public:
-  explicit JsonSnapshot(std::string bench) : bench_(std::move(bench)) {}
-
-  void add(std::string name, std::size_t cells, double seconds) {
-    records_.push_back({std::move(name), cells, seconds});
-  }
-
-  bool write() const {
-    const char* dir = std::getenv("MCH_BENCH_JSON_DIR");
-    const std::string path =
-        std::string(dir != nullptr ? dir : "results") + "/" + bench_ +
-        ".json";
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) return false;
-    std::fprintf(f,
-                 "{\n"
-                 "  \"schema\": \"mch-bench/1\",\n"
-                 "  \"bench\": \"%s\",\n"
-                 "  \"build\": \"%s\",\n"
-                 "  \"simd\": \"%s\",\n"
-                 "  \"threads\": %u,\n"
-                 "  \"peak_rss_mb\": %.1f,\n"
-                 "  \"records\": [\n",
-                 bench_.c_str(), bench_build_type(),
-                 linalg::simd_level_name(linalg::simd_level()),
-                 runtime::Runtime::instance().threads(),
-                 util::peak_rss_mb());
-    for (std::size_t i = 0; i < records_.size(); ++i) {
-      const Record& r = records_[i];
-      std::fprintf(f,
-                   "    {\"name\": \"%s\", \"cells\": %zu, "
-                   "\"seconds\": %.6f}%s\n",
-                   r.name.c_str(), r.cells, r.seconds,
-                   i + 1 < records_.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::printf("# wrote %s\n", path.c_str());
-    return true;
-  }
-
- private:
-  struct Record {
-    std::string name;
-    std::size_t cells = 0;
-    double seconds = 0.0;
-  };
-  std::string bench_;
-  std::vector<Record> records_;
-};
 
 }  // namespace mch::bench

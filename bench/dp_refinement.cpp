@@ -22,7 +22,6 @@ int main() {
   io::Table table({"Benchmark", "HPWL legal", "HPWL refined", "gain",
                    "reorders", "swaps", "shifts", "passes", "t (s)",
                    "legal"});
-  bench::JsonSnapshot json("dp_refinement");
   for (const char* name :
        {"fft_2", "fft_1", "des_perf_b", "pci_bridge32_a", "matrix_mult_a"}) {
     db::Design design =
@@ -42,7 +41,6 @@ int main() {
         .cell(stats.passes)
         .cell(stats.seconds, 2)
         .cell(legal ? "yes" : "NO");
-    json.add(name, design.num_cells(), stats.seconds);
     (void)legalized;
     std::cerr << "." << std::flush;
   }
@@ -76,6 +74,5 @@ int main() {
   }
   std::cout << ablation.to_text();
   mch::bench::print_peak_rss();
-  json.write();
   return 0;
 }

@@ -13,7 +13,6 @@
 #include "io/svg.h"
 #include "legal/flow.h"
 #include "legal/row_assign.h"
-#include "util/timer.h"
 
 int main() {
   using namespace mch;
@@ -25,9 +24,7 @@ int main() {
 
   db::Design design =
       gen::generate_design(gen::find_spec("fft_2"), options);
-  mch::Timer flow_timer;
   const legal::FlowResult flow = legal::legalize(design);
-  const double flow_seconds = flow_timer.seconds();
   if (!flow.legal) {
     std::cout << "legalization FAILED: " << flow.legality.summary() << "\n";
     return 1;
@@ -86,8 +83,5 @@ int main() {
                "rows, so inversions can come only from the Tetris-like "
                "relocation of the few illegal cells — expect ~0%.\n";
   mch::bench::print_peak_rss();
-  bench::JsonSnapshot json("fig5_order_preservation");
-  json.add("fft_2", design.num_cells(), flow_seconds);
-  json.write();
   return 0;
 }

@@ -1,20 +1,14 @@
-// Google-benchmark microbenchmarks of the pipeline stages, demonstrating
-// the linear-time scaling that underpins the paper's efficiency claim:
-// model build, MMSIM setup + iterations, PlaceRow collapse, and the
-// Tetris-like allocation all scale ~O(n).
-//
-// Run with --scaling for the thread-scaling sweep instead: MMSIM iteration
-// throughput at 1/2/4/8 threads on the largest micro case (snapshot in
-// results/micro_solver_scaling.txt). --threads N / MCH_THREADS set the
-// thread count for the regular microbenchmarks.
+// Google-benchmark microbenchmarks of the pipeline stages, measuring the
+// scaling behind the paper's linear-time efficiency claim: model build,
+// MMSIM setup + iterations, PlaceRow collapse, and the Tetris-like
+// allocation (fits in EXPERIMENTS.md E10). --threads N / MCH_THREADS set the
+// thread count.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
 #include <map>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "baselines/abacus.h"
@@ -28,8 +22,6 @@
 #include "legal/row_assign.h"
 #include "legal/tetris_alloc.h"
 #include "runtime/options.h"
-#include "runtime/runtime.h"
-#include "util/timer.h"
 
 namespace {
 
@@ -241,108 +233,6 @@ void BM_FullFlow(benchmark::State& state) {
 }
 BENCHMARK(BM_FullFlow)->Range(1000, 16000);
 
-// Thread-scaling sweep: fixed-budget MMSIM iterations on the largest micro
-// case at 1/2/4/8 threads, reporting iterations/s and speedup over one
-// thread. Determinism means every run computes the identical iterates, so
-// the sweep measures runtime overhead/scaling and nothing else. A second
-// section sweeps the SIMD dispatch level at one thread — on few-core
-// machines vector width, not threads, is where the per-iteration speedup
-// comes from.
-void run_scaling_sweep(mch::bench::JsonSnapshot& json) {
-  constexpr std::size_t kCells = 64000;
-  constexpr std::size_t kIterations = 200;
-  const std::vector<unsigned> thread_counts = {1, 2, 4, 8};
-
-  std::printf("MMSIM thread-scaling sweep — %zu cells, %zu iterations per "
-              "run (hardware threads available: %u)\n\n",
-              kCells, kIterations, std::thread::hardware_concurrency());
-
-  const mch::db::Design& design = cached_design(kCells);
-  mch::db::Design copy = design;
-  const mch::legal::RowAssignment rows = mch::legal::assign_rows(copy);
-  const mch::legal::LegalizationModel model =
-      mch::legal::build_model(copy, rows);
-  mch::lcp::MmsimOptions options;
-  options.max_iterations = kIterations;  // fixed budget: per-iteration cost
-  options.tolerance = 0.0;
-  options.residual_check = false;
-  const mch::lcp::MmsimSolver solver(model.qp, options);
-
-  std::printf("%8s %12s %14s %10s\n", "threads", "seconds", "iters/s",
-              "speedup");
-  double baseline_seconds = 0.0;
-  for (const unsigned threads : thread_counts) {
-    mch::runtime::Runtime::configure(threads);
-    solver.solve();  // warm-up: page in buffers, spin up the pool
-    mch::Timer timer;
-    solver.solve();
-    const double seconds = timer.seconds();
-    if (threads == 1) baseline_seconds = seconds;
-    std::printf("%8u %12.3f %14.1f %9.2fx\n", threads, seconds,
-                static_cast<double>(kIterations) / seconds,
-                baseline_seconds / seconds);
-    json.add("threads/" + std::to_string(threads), kCells, seconds);
-  }
-  mch::runtime::Runtime::configure(1);
-  std::printf("\nSpeedup is bounded by the serial Thomas solve "
-              "(runtime/parallel.h documents the determinism contract) and "
-              "by the physical core count of the machine.\n");
-
-  std::printf("\nSIMD-level sweep — same case, 1 thread (CPU supports %s; "
-              "double kernels are bitwise identical at every level)\n\n",
-              mch::linalg::simd_level_name(
-                  mch::linalg::simd_level_supported()));
-  std::printf("%8s %12s %14s %10s\n", "simd", "seconds", "iters/s",
-              "speedup");
-  double scalar_seconds = 0.0;
-  for (const mch::linalg::SimdLevel level :
-       {mch::linalg::SimdLevel::kScalar, mch::linalg::SimdLevel::kAvx2,
-        mch::linalg::SimdLevel::kAvx512}) {
-    if (mch::linalg::set_simd_level(level) != level) continue;  // unsupported
-    solver.solve();  // warm-up at this level
-    mch::Timer timer;
-    solver.solve();
-    const double seconds = timer.seconds();
-    const char* name = mch::linalg::simd_level_name(level);
-    if (level == mch::linalg::SimdLevel::kScalar) scalar_seconds = seconds;
-    std::printf("%8s %12.3f %14.1f %9.2fx\n", name, seconds,
-                static_cast<double>(kIterations) / seconds,
-                scalar_seconds / seconds);
-    json.add(std::string("simd/") + name, kCells, seconds);
-  }
-  mch::linalg::set_simd_level(mch::linalg::simd_level_supported());
-}
-
-/// Console reporter that also records every per-iteration run into the
-/// machine-readable snapshot: name (with the A/B label appended), the first
-/// benchmark argument as "cells", and mean wall seconds per iteration.
-/// Aggregates (BigO/RMS rows) stay text-only.
-class JsonTeeReporter : public benchmark::ConsoleReporter {
- public:
-  explicit JsonTeeReporter(mch::bench::JsonSnapshot& json) : json_(json) {}
-
-  void ReportRuns(const std::vector<Run>& runs) override {
-    for (const Run& run : runs) {
-      if (run.run_type != Run::RT_Iteration || run.iterations == 0) continue;
-      const std::string name = run.benchmark_name();
-      std::size_t cells = 0;
-      const std::size_t slash = name.find('/');
-      if (slash != std::string::npos)
-        cells = static_cast<std::size_t>(
-            std::atoll(name.c_str() + slash + 1));
-      std::string record = name;
-      if (!run.report_label.empty()) record += " [" + run.report_label + "]";
-      json_.add(std::move(record), cells,
-                run.real_accumulated_time /
-                    static_cast<double>(run.iterations));
-    }
-    benchmark::ConsoleReporter::ReportRuns(runs);
-  }
-
- private:
-  mch::bench::JsonSnapshot& json_;
-};
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -351,32 +241,18 @@ int main(int argc, char** argv) {
   default_simd_level();  // pin the MCH_SIMD-resolved default for the A/Bs
   // Strip our flags so google-benchmark does not reject them.
   std::vector<char*> filtered;
-  bool scaling = false;
   for (int i = 0; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--scaling") == 0) {
-      scaling = true;
-    } else if (std::strcmp(argv[i], "--threads") == 0 ||
-               std::strcmp(argv[i], "-j") == 0) {
+    if (std::strcmp(argv[i], "--threads") == 0 ||
+        std::strcmp(argv[i], "-j") == 0) {
       ++i;  // skip the value
-    } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-    } else {
+    } else if (std::strncmp(argv[i], "--threads=", 10) != 0) {
       filtered.push_back(argv[i]);
     }
   }
-  if (scaling) {
-    mch::bench::JsonSnapshot json("micro_solver_scaling");
-    run_scaling_sweep(json);
-    mch::bench::print_peak_rss();
-    json.write();
-    return 0;
-  }
-  mch::bench::JsonSnapshot json("micro_solver");
   int filtered_argc = static_cast<int>(filtered.size());
   benchmark::Initialize(&filtered_argc, filtered.data());
-  JsonTeeReporter reporter(json);
-  benchmark::RunSpecifiedBenchmarks(&reporter);
+  benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   mch::bench::print_peak_rss();
-  json.write();
   return 0;
 }

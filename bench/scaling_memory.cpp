@@ -1,20 +1,15 @@
-// Production-scale memory/time sweep (ROADMAP open item 3).
+// Production-scale memory/time point: legalizes one design of the
+// gen::generate_scale_design families (1M–10M cells) on the streamed memory
+// spine — streaming CSR assembly with the union-find folded in, then the
+// tiered solve, which extracts one component sub-problem per lane at a
+// time — and prints one row: cells, build/solve/allocate seconds,
+// components, legality and peak RSS.
 //
-// Records cells vs. build/solve time vs. peak RSS for the 1M–10M-cell scale
-// families of gen::generate_scale_design on the streamed memory spine:
-// streaming CSR assembly with the union-find folded in, then the tiered
-// solve, which extracts one component sub-problem per lane at a time.
+//   ./scaling_memory --point <baseline|obstacle-heavy|high-utilization> <cells>
 //
 // Peak RSS (getrusage ru_maxrss) is monotone over a process's lifetime, so
-// one process can measure at most one data point: the driver re-execs
-// itself once per point (`--point <variant> <cells>`) and each child
-// prints a single table row. The child mode doubles as the
-// `ulimit -v` bigmem smoke in tools/verify.sh.
-//
-// Knobs: MCH_SCALE_POINTS=small|full (default full) picks the sweep size;
-// MCH_BENCH_SEED as everywhere else.
-#include <array>
-#include <cinttypes>
+// one process measures one point. Under `ulimit -v` this is the bigmem
+// smoke in tools/verify.sh. MCH_BENCH_SEED picks the generator seed.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -43,8 +38,7 @@ gen::ScaleVariant parse_variant(const std::string& name) {
   std::exit(2);
 }
 
-/// One measured point, executed in a child process so ru_maxrss reflects
-/// this point alone. Prints exactly one row to stdout.
+/// The measured point. Prints exactly one row to stdout.
 int run_point(const std::string& variant_name, std::size_t cells) {
   const gen::ScaleVariant variant = parse_variant(variant_name);
   db::Design design =
@@ -79,85 +73,16 @@ int run_point(const std::string& variant_name, std::size_t cells) {
               variant_name.c_str(), design.num_cells(), build_seconds,
               solve_seconds, allocate_seconds, stats.num_components,
               legal ? "yes" : "NO", util::peak_rss_mb());
-  std::fflush(stdout);
   return legal && stats.converged ? 0 : 1;
-}
-
-struct Point {
-  const char* variant;
-  std::size_t cells;
-};
-
-int run_driver(const char* self) {
-  bench::print_bench_banner("scaling_memory");
-  std::printf(
-      "# One child process per row (peak RSS is per-process-monotone):\n"
-      "#   %s --point <variant> <cells>\n"
-      "# build   = model assembly (CSR + union-find in one pass)\n"
-      "%-16s %9s %9s %9s %9s %9s %5s %11s\n",
-      self, "variant", "cells", "build_s", "solve_s", "alloc_s", "comps",
-      "legal", "peak_rss_mb");
-  // Children inherit this process's stdout and flush their own rows; when
-  // stdout is a file (the snapshot) the banner would otherwise sit in the
-  // parent's full buffer until exit and land *after* every row.
-  std::fflush(stdout);
-
-  const bool small = [] {
-    const char* env = std::getenv("MCH_SCALE_POINTS");
-    return env != nullptr && std::strcmp(env, "small") == 0;
-  }();
-
-  const std::array<Point, 6> full_points = {{
-      {"baseline", 1000000},
-      {"baseline", 2000000},
-      {"baseline", 5000000},
-      {"baseline", 10000000},
-      {"obstacle-heavy", 1000000},
-      {"high-utilization", 1000000},
-  }};
-  const std::array<Point, 3> small_points = {{
-      {"baseline", 100000},
-      {"obstacle-heavy", 100000},
-      {"high-utilization", 100000},
-  }};
-
-  const Point* points = small ? small_points.data() : full_points.data();
-  const std::size_t count = small ? small_points.size() : full_points.size();
-
-  int worst = 0;
-  bench::JsonSnapshot json("scaling_memory");
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::string command = std::string(self) + " --point " +
-                                points[i].variant + " " +
-                                std::to_string(points[i].cells);
-    Timer point_timer;
-    const int rc = std::system(command.c_str());
-    // Whole-child wall clock (generate + build + solve + allocate +
-    // check); the per-phase seconds and the per-point peak RSS are in the
-    // child's text row — ru_maxrss is per-process, so the parent cannot
-    // report it here.
-    json.add(points[i].variant, points[i].cells, point_timer.seconds());
-    if (rc != 0) {
-      std::printf("# point failed (rc %d): %s\n", rc, command.c_str());
-      std::fflush(stdout);
-      worst = 1;
-    }
-  }
-  json.write();
-  return worst;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc >= 2 && std::strcmp(argv[1], "--point") == 0) {
-    if (argc != 4) {
-      std::fprintf(stderr, "usage: %s --point <variant> <cells>\n", argv[0]);
-      return 2;
-    }
-    return run_point(argv[2], static_cast<std::size_t>(
-                                  std::strtoull(argv[3], nullptr, 10)));
+  if (argc != 4 || std::strcmp(argv[1], "--point") != 0) {
+    std::fprintf(stderr, "usage: %s --point <variant> <cells>\n", argv[0]);
+    return 2;
   }
-  mch::bench::bench_threads(argc, argv);
-  return run_driver(argv[0]);
+  return run_point(argv[2], static_cast<std::size_t>(
+                                std::strtoull(argv[3], nullptr, 10)));
 }

@@ -33,10 +33,8 @@ int main(int argc, char** argv) {
                                            {}, &std::cerr);
   std::cerr << "\n";
 
-  bench::JsonSnapshot json("table1_illegal_cells");
   for (std::size_t i = 0; i < suite.size(); ++i) {
     const eval::RunResult& result = results[i];
-    json.add(suite[i].name, result.num_cells, result.seconds);
     const double ratio =
         static_cast<double>(result.illegal_after_solver) /
         static_cast<double>(result.num_cells);
@@ -70,6 +68,5 @@ int main(int argc, char** argv) {
                "max 0.80% (des_perf_1), 0.57% (fft_1); zero on "
                "pci_bridge32_a/b.\n";
   mch::bench::print_peak_rss();
-  json.write();
   return 0;
 }

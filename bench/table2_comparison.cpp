@@ -54,13 +54,10 @@ int main(int argc, char** argv) {
       eval::SuiteRunner(options).run_cross(suite, methods, {}, &std::cerr);
   std::cerr << "\n";
 
-  bench::JsonSnapshot json("table2_comparison");
   for (std::size_t s = 0; s < suite.size(); ++s) {
     const eval::RunResult* results = &all_results[s * methods.size()];
     for (std::size_t m = 0; m < methods.size(); ++m) {
       all_legal = all_legal && results[m].legal;
-      json.add(suite[s].name + "/" + labels[m], results[m].num_cells,
-               results[m].seconds);
     }
     const eval::RunResult& ours = results[methods.size() - 1];
 
@@ -101,7 +98,7 @@ int main(int argc, char** argv) {
   // session's bookkeeping when the run was served through one (MCH_SESSION=1
   // routes eval::run_legalizer that way); a full solve re-solves every
   // component, so they only become non-zero for incremental ECO serving —
-  // see bench/service_throughput.cpp for the request-stream numbers.
+  // perfbench's eco_50k workload has the request-stream numbers.
   io::Table decomposition({"Benchmark", "Components", "Largest", "Mean size",
                            "Iters (max)", "Iters (sum)", "Dirty", "Reused",
                            "Warm rate"});
@@ -130,6 +127,5 @@ int main(int argc, char** argv) {
                "1.06 / 1.00; dHPWL 1.72 / 1.41 / 1.22 / 1.00; time 1.02 / "
                "0.97 / 1.96 / 1.00.\n";
   mch::bench::print_peak_rss();
-  json.write();
   return all_legal ? 0 : 1;
 }

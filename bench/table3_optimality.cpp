@@ -121,15 +121,8 @@ int main(int argc, char** argv) {
   bool all_equal = true;
   double mmsim_time = 0.0, placerow_time = 0.0, incr_time = 0.0;
   double benchmark_do_not_optimize = 0.0;
-  bench::JsonSnapshot json("table3_optimality");
   for (std::size_t s = 0; s < suite.size(); ++s) {
     const SpecResult& r = rows[s];
-    const std::size_t cells = static_cast<std::size_t>(
-        static_cast<double>(suite[s].num_single_cells +
-                            suite[s].num_double_cells) *
-        options.scale);
-    json.add(suite[s].name + "/mmsim", cells, r.t_mmsim);
-    json.add(suite[s].name + "/placerow", cells, r.t_placerow);
     all_equal = all_equal && r.equal;
     mmsim_time += r.t_mmsim;
     placerow_time += r.t_placerow;
@@ -160,6 +153,5 @@ int main(int argc, char** argv) {
               "grows quadratically with row length.\n");
   (void)benchmark_do_not_optimize;
   mch::bench::print_peak_rss();
-  json.write();
   return all_equal ? 0 : 1;
 }

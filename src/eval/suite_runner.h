@@ -92,8 +92,8 @@ struct RunResult {
 
   /// Process-wide peak RSS (getrusage high-water mark) sampled when this
   /// run finished. Monotone across a suite: later runs inherit earlier
-  /// peaks, so per-design attribution needs one process per design (see
-  /// bench/scaling_memory.cpp).
+  /// peaks, so per-design attribution needs one process per design, as
+  /// bench/scaling_memory.cpp does with one point per invocation.
   double peak_rss_mb = 0.0;
 };
 

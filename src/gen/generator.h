@@ -118,9 +118,9 @@ db::Design generate_degenerate_design(DegenerateMode mode,
                                       std::size_t num_cells,
                                       std::uint64_t seed = 1);
 
-/// Families of the production-scale sweep (bench/scaling_memory): the same
-/// construction as generate_random_design, differing in what stresses the
-/// model's memory spine hardest at 1M–10M cells.
+/// Families of the production-scale point (bench/scaling_memory --point):
+/// the same construction as generate_random_design, differing in what
+/// stresses the model's memory spine hardest at 1M–10M cells.
 enum class ScaleVariant {
   /// The paper's benchmark mix: 10% double-height, density 0.8, no macros.
   kBaseline,

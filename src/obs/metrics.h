@@ -114,7 +114,7 @@ void set_metrics_attribute(std::string_view key, std::string_view value);
 
 /// The metrics JSON document: schema/attributes plus every registered
 /// counter, gauge, and histogram (count/sum/mean/p50/p95/p99 and the
-/// non-empty buckets). Layout mirrors bench::JsonSnapshot.
+/// non-empty buckets).
 std::string metrics_json();
 
 /// Writes metrics_json() to `path`; false when the file cannot be opened.

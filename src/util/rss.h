@@ -3,9 +3,9 @@
 //
 // peak_rss_bytes() is the getrusage ru_maxrss high-water mark: monotone
 // over the process lifetime, which is exactly the "did this flow fit the
-// budget" number the memory-wall work tracks (ROADMAP item 3). To compare
-// configurations fairly, measure each in its own process —
-// bench/scaling_memory.cpp re-execs itself per data point for this reason.
+// budget" number the memory-wall work tracks. To compare configurations
+// fairly, measure each in its own process — bench/scaling_memory.cpp
+// measures exactly one point per invocation for this reason.
 //
 // current_rss_bytes() reads /proc/self/statm for an instantaneous resident
 // size; it returns 0 on platforms without procfs, so callers must treat 0

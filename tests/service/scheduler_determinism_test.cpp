@@ -2,10 +2,13 @@
 // match-mode requests must produce bitwise-identical positions per request
 // at 1/4/16 threads, under forced steal-heavy scheduling, and when the
 // requests are submitted by concurrent clients sharing the worker pool.
+// Tiered requests (the per-component production driver) carry the same
+// schedule-independence against their own 1-thread answer.
 // Work stealing and cross-job interleaving may only move wall-clock time
 // around — never results (the contract documented in runtime/scheduler.h).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstddef>
 #include <thread>
 #include <vector>
@@ -73,6 +76,42 @@ Positions serve_one(const RequestSpec& spec) {
   return snapshot(session.design());
 }
 
+/// The production path: a fresh session legalizing with the tiered
+/// per-component driver (no warm-start history, so the answer depends on
+/// the design alone).
+Positions serve_one_tiered(const RequestSpec& spec) {
+  SessionOptions options;
+  options.flow.solver.partition = legal::PartitionMode::kTiered;
+  LegalizationSession session(make_design(spec), options);
+  const SessionResult result = session.full_legalize();
+  EXPECT_TRUE(result.legal) << result.legality_summary;
+  return snapshot(session.design());
+}
+
+/// Serves every request of the mix from `kClients` threads at once: client
+/// c takes requests c, c+kClients, ..., so all clients overlap on the
+/// shared workers.
+template <typename Serve>
+std::vector<Positions> serve_concurrently(Serve serve) {
+  const std::size_t num = request_mix().size();
+  std::vector<Positions> got(num);
+  std::atomic<int> ready{0};
+  constexpr int kClients = 3;
+  std::vector<std::thread> clients;
+  clients.reserve(kClients);
+  for (int client = 0; client < kClients; ++client) {
+    clients.emplace_back([&, client] {
+      ready.fetch_add(1);
+      while (ready.load() < kClients) std::this_thread::yield();
+      for (std::size_t r = static_cast<std::size_t>(client); r < num;
+           r += kClients)
+        got[r] = serve(request_mix()[r]);
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  return got;
+}
+
 class SchedulerDeterminismTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -128,25 +167,41 @@ TEST_F(SchedulerDeterminismTest, QueueBitwiseStableUnderStealHeavySchedule) {
 // get the serial reference answer, bitwise.
 TEST_F(SchedulerDeterminismTest, ConcurrentClientsBitwiseStable) {
   runtime::Runtime::configure(4);
-  const std::size_t num = request_mix().size();
-  std::vector<Positions> got(num);
-  std::atomic<int> ready{0};
-  constexpr int kClients = 3;
-  std::vector<std::thread> clients;
-  clients.reserve(kClients);
-  for (int client = 0; client < kClients; ++client) {
-    clients.emplace_back([&, client] {
-      ready.fetch_add(1);
-      while (ready.load() < kClients) std::this_thread::yield();
-      // Client c serves requests c, c+kClients, ... — all clients overlap.
-      for (std::size_t r = static_cast<std::size_t>(client); r < num;
-           r += kClients)
-        got[r] = serve_one(request_mix()[r]);
-    });
-  }
-  for (std::thread& t : clients) t.join();
-  for (std::size_t r = 0; r < num; ++r)
+  const std::vector<Positions> got = serve_concurrently(serve_one);
+  for (std::size_t r = 0; r < got.size(); ++r)
     expect_bitwise_equal(got[r], reference_[r], "concurrent", r);
+}
+
+/// The tiered reference: the same session path, served serially at one
+/// thread, once per process.
+const std::vector<Positions>& tiered_reference() {
+  static const std::vector<Positions> reference = [] {
+    runtime::Runtime::configure(1);
+    std::vector<Positions> snapshots;
+    for (const RequestSpec& spec : request_mix())
+      snapshots.push_back(serve_one_tiered(spec));
+    return snapshots;
+  }();
+  return reference;
+}
+
+TEST_F(SchedulerDeterminismTest, TieredQueueBitwiseStableAcrossThreadCounts) {
+  const std::vector<Positions>& reference = tiered_reference();
+  for (const unsigned threads : {4u, 16u}) {
+    runtime::Runtime::configure(threads);
+    for (std::size_t r = 0; r < request_mix().size(); ++r) {
+      const Positions got = serve_one_tiered(request_mix()[r]);
+      expect_bitwise_equal(got, reference[r], "tiered threads", r);
+    }
+  }
+}
+
+TEST_F(SchedulerDeterminismTest, TieredConcurrentClientsBitwiseStable) {
+  const std::vector<Positions>& reference = tiered_reference();
+  runtime::Runtime::configure(4);
+  const std::vector<Positions> got = serve_concurrently(serve_one_tiered);
+  for (std::size_t r = 0; r < got.size(); ++r)
+    expect_bitwise_equal(got[r], reference[r], "tiered concurrent", r);
 }
 
 }  // namespace
