@@ -145,12 +145,10 @@ std::vector<RunResult> SuiteRunner::run(const std::vector<SuiteJob>& jobs,
   std::vector<RunResult> results(jobs.size());
   // Grain 1: one design per task. Each job builds its design from the spec
   // (the generator draws from a per-design RNG seeded by the spec and the
-  // generator options, so jobs are fully independent), and nested
-  // parallelism inside the solver becomes stealable child jobs on the
-  // shared scheduler, so workers idling between designs help finish a
-  // neighbor's solve. Results are written into the job's own slot — order
-  // and content are therefore independent of the thread count and of who
-  // steals what.
+  // generator options, so jobs are fully independent), and the solver's
+  // own component loop runs inline on the task's thread: the designs are
+  // the parallel level. Results are written into the job's own slot —
+  // order and content are therefore independent of the thread count.
   runtime::parallel_for(
       std::size_t{0}, jobs.size(), 1,
       [&](std::size_t lo, std::size_t hi) {

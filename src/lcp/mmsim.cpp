@@ -9,22 +9,12 @@
 #include "linalg/power_iteration.h"
 #include "obs/metrics.h"
 #include "linalg/simd.h"
-#include "runtime/parallel.h"
-#include "runtime/scratch.h"
 #include "util/check.h"
 #include "util/timer.h"
 
 namespace mch::lcp {
 
 namespace {
-using runtime::kGrainElementwise;
-using runtime::parallel_for;
-using runtime::parallel_reduce;
-
-/// Grain for the non-1×1 block sweep of the fused kernel; mirrors the
-/// block sweeps in linalg/block_diag.cpp.
-constexpr std::size_t kGrainBlocks = 256;
-
 /// Systems below this LCP dimension skip phase-time collection: two clock
 /// reads per scope would rival the arithmetic of a tiny component solve.
 constexpr std::size_t kPhaseProfileMinSize = 256;
@@ -50,8 +40,6 @@ class PhaseTimer {
   double* bucket_;
   std::chrono::steady_clock::time_point start_;
 };
-
-double fold_max(double a, double b) { return std::max(a, b); }
 
 /// Iterations between finisher pattern snapshots (solve_finished).
 constexpr std::size_t kFinisherStride = 32;
@@ -276,6 +264,7 @@ void MmsimSolver::reset_state(State& state, const Vector* s0) const {
   state.rhs2.resize(m);
   state.new_s1.resize(n);
   state.new_s2.resize(m);
+  state.block_rhs.resize(max_general_rows_);
   state.pattern.clear();
   state.iterations = 0;
   state.phase = MmsimPhaseTimes{};
@@ -305,19 +294,8 @@ double MmsimSolver::step_reference(State& state) const {
     PhaseTimer timer(profile_, state.phase.kernel_seconds);
     state.z_prev = state.z;
 
-    // All element-wise stages of the modulus update run on the runtime; the
-    // matrix products parallelize internally. Each stage owns its output
-    // elements, so the iterates are identical at every thread count.
-    parallel_for(std::size_t{0}, n, kGrainElementwise,
-                 [&](std::size_t lo, std::size_t hi) {
-                   for (std::size_t i = lo; i < hi; ++i)
-                     abs1[i] = std::abs(s1[i]);
-                 });
-    parallel_for(std::size_t{0}, m, kGrainElementwise,
-                 [&](std::size_t lo, std::size_t hi) {
-                   for (std::size_t i = lo; i < hi; ++i)
-                     abs2[i] = std::abs(s2[i]);
-                 });
+    for (std::size_t i = 0; i < n; ++i) abs1[i] = std::abs(s1[i]);
+    for (std::size_t i = 0; i < m; ++i) abs2[i] = std::abs(s2[i]);
     rhs1.assign(n, 0.0);
   }
 
@@ -329,10 +307,7 @@ double MmsimSolver::step_reference(State& state) const {
   }
   {
     PhaseTimer timer(profile_, state.phase.kernel_seconds);
-    parallel_for(std::size_t{0}, n, kGrainElementwise,
-                 [&](std::size_t lo, std::size_t hi) {
-                   for (std::size_t i = lo; i < hi; ++i) rhs1[i] += abs1[i];
-                 });
+    for (std::size_t i = 0; i < n; ++i) rhs1[i] += abs1[i];
   }
   {
     PhaseTimer timer(profile_, state.phase.spmv_seconds);
@@ -341,11 +316,7 @@ double MmsimSolver::step_reference(State& state) const {
   }
   {
     PhaseTimer timer(profile_, state.phase.kernel_seconds);
-    parallel_for(std::size_t{0}, n, kGrainElementwise,
-                 [&](std::size_t lo, std::size_t hi) {
-                   for (std::size_t i = lo; i < hi; ++i)
-                     rhs1[i] -= opts_.gamma * qp_.p[i];
-                 });
+    for (std::size_t i = 0; i < n; ++i) rhs1[i] -= opts_.gamma * qp_.p[i];
   }
 
   // Forward solve of the block lower triangular system:
@@ -365,12 +336,8 @@ double MmsimSolver::step_reference(State& state) const {
     }
     {
       PhaseTimer timer(profile_, state.phase.kernel_seconds);
-      parallel_for(std::size_t{0}, m, kGrainElementwise,
-                   [&](std::size_t lo, std::size_t hi) {
-                     for (std::size_t i = lo; i < hi; ++i)
-                       rhs2[i] = inv_theta * rhs2[i] + abs2[i] +
-                                 opts_.gamma * qp_.b[i];
-                   });
+      for (std::size_t i = 0; i < m; ++i)
+        rhs2[i] = inv_theta * rhs2[i] + abs2[i] + opts_.gamma * qp_.b[i];
     }
     {
       PhaseTimer timer(profile_, state.phase.spmv_seconds);
@@ -394,16 +361,10 @@ double MmsimSolver::step_reference(State& state) const {
   Vector& z = state.z;
   {
     PhaseTimer timer(profile_, state.phase.kernel_seconds);
-    parallel_for(std::size_t{0}, n, kGrainElementwise,
-                 [&](std::size_t lo, std::size_t hi) {
-                   for (std::size_t i = lo; i < hi; ++i)
-                     z[i] = (std::abs(s1[i]) + s1[i]) * inv_gamma;
-                 });
-    parallel_for(std::size_t{0}, m, kGrainElementwise,
-                 [&](std::size_t lo, std::size_t hi) {
-                   for (std::size_t i = lo; i < hi; ++i)
-                     z[n + i] = (std::abs(s2[i]) + s2[i]) * inv_gamma;
-                 });
+    for (std::size_t i = 0; i < n; ++i)
+      z[i] = (std::abs(s1[i]) + s1[i]) * inv_gamma;
+    for (std::size_t i = 0; i < m; ++i)
+      z[n + i] = (std::abs(s2[i]) + s2[i]) * inv_gamma;
   }
 
   ++state.iterations;
@@ -411,7 +372,7 @@ double MmsimSolver::step_reference(State& state) const {
   return linalg::diff_norm_inf(z, state.z_prev);
 }
 
-// Fused iteration: one parallel sweep per half-step computes |s|, the rhs
+// Fused iteration: one sweep per half-step computes |s|, the rhs
 // chain, the triangular solve's local part, the z update, and the delta
 // partial in a single pass, with Bᵀ/B gathers inlined through the cached
 // CSR views. No abs1/abs2/rhs1 intermediates are materialized.
@@ -471,77 +432,77 @@ double MmsimSolver::step_fused_impl(State& state) const {
     PhaseTimer timer(profile_, state.phase.kernel_seconds);
 
     // Primal half, 1×1-block rows (the ~90% fast path).
-    kernels::PrimalCtx pctx{};
-    if (sk != nullptr)
-      pctx = {s1.data(),   s2.data(),   kv.data(),
-              siv.data(),  qp_.p.data(), bt_v0,
-              bt_v1,       bt_c0,       bt_c1,
-              general_var_.data(),      new_s1.data(),
-              z.data(),    c1,          gamma,
-              inv_gamma};
-    const double scalar_delta = parallel_reduce(
-        std::size_t{0}, n, kGrainElementwise, 0.0,
-        [&](std::size_t lo, std::size_t hi) {
-          if constexpr (kGather2) {
-            if (sk != nullptr) return sk->primal(pctx, lo, hi);
+    if (sk != nullptr) {
+      const kernels::PrimalCtx pctx{s1.data(),
+                                    s2.data(),
+                                    kv.data(),
+                                    siv.data(),
+                                    qp_.p.data(),
+                                    bt_v0,
+                                    bt_v1,
+                                    bt_c0,
+                                    bt_c1,
+                                    general_var_.data(),
+                                    new_s1.data(),
+                                    z.data(),
+                                    c1,
+                                    gamma,
+                                    inv_gamma};
+      delta = sk->primal(pctx, 0, n);
+    } else {
+      for (std::size_t i = 0; i < n; ++i) {
+        if (general_var_[i]) continue;
+        const double s1i = s1[i];
+        const double a1 = std::abs(s1i);
+        // One traversal of the Bᵀ row feeds both gather terms (each
+        // accumulator folds the same values in the same order as its
+        // standalone gather would).
+        double g_s2 = 0.0;   // Bᵀ s2
+        double g_abs = 0.0;  // Bᵀ |s2|
+        if constexpr (kGather2) {
+          {
+            const double v = bt_v0[i];
+            const double x = s2[bt_c0[i]];
+            g_s2 += v * x;
+            g_abs += v * std::abs(x);
           }
-          double best = 0.0;
-          for (std::size_t i = lo; i < hi; ++i) {
-            if (general_var_[i]) continue;
-            const double s1i = s1[i];
-            const double a1 = std::abs(s1i);
-            // One traversal of the Bᵀ row feeds both gather terms (each
-            // accumulator folds the same values in the same order as its
-            // standalone gather would).
-            double g_s2 = 0.0;   // Bᵀ s2
-            double g_abs = 0.0;  // Bᵀ |s2|
-            if constexpr (kGather2) {
-              {
-                const double v = bt_v0[i];
-                const double x = s2[bt_c0[i]];
-                g_s2 += v * x;
-                g_abs += v * std::abs(x);
-              }
-              {
-                const double v = bt_v1[i];
-                const double x = s2[bt_c1[i]];
-                g_s2 += v * x;
-                g_abs += v * std::abs(x);
-              }
-            } else {
-              for (std::size_t k = bt_rp[i]; k < bt_rp[i + 1]; ++k) {
-                const double v = bt_v[k];
-                const double x = s2[bt_ci[k]];
-                g_s2 += v * x;
-                g_abs += v * std::abs(x);
-              }
-            }
-            double r = 0.0;
-            r += c1 * kv[i] * s1i;   // (1/β−1)·K s1, scalar sweep
-            r += g_s2;
-            r += a1;                 // + |s1|
-            r += -1.0 * kv[i] * a1;  // − K|s1|, scalar sweep
-            r += g_abs;
-            r -= gamma * qp_.p[i];
-            const double ns = siv[i] * r;  // (K/β + I)⁻¹, scalar row
-            new_s1[i] = ns;
-            const double zi = (std::abs(ns) + ns) * inv_gamma;
-            best = std::max(best, std::abs(zi - z[i]));
-            z[i] = zi;
+          {
+            const double v = bt_v1[i];
+            const double x = s2[bt_c1[i]];
+            g_s2 += v * x;
+            g_abs += v * std::abs(x);
           }
-          return best;
-        },
-        fold_max);
+        } else {
+          for (std::size_t k = bt_rp[i]; k < bt_rp[i + 1]; ++k) {
+            const double v = bt_v[k];
+            const double x = s2[bt_ci[k]];
+            g_s2 += v * x;
+            g_abs += v * std::abs(x);
+          }
+        }
+        double r = 0.0;
+        r += c1 * kv[i] * s1i;   // (1/β−1)·K s1, scalar sweep
+        r += g_s2;
+        r += a1;                 // + |s1|
+        r += -1.0 * kv[i] * a1;  // − K|s1|, scalar sweep
+        r += g_abs;
+        r -= gamma * qp_.p[i];
+        const double ns = siv[i] * r;  // (K/β + I)⁻¹, scalar row
+        new_s1[i] = ns;
+        const double zi = (std::abs(ns) + ns) * inv_gamma;
+        delta = std::max(delta, std::abs(zi - z[i]));
+        z[i] = zi;
+      }
+    }
 
     // Primal half, multi-row blocks (tall cells), streaming the flattened
-    // gb_* tables. The per-thread scratch holds the block's rhs; the chain
-    // includes the zero terms the flat scalar sweeps of the reference
-    // contribute at these positions. kBn = 2 compiles the dominant
-    // double-height case with every block loop fully unrolled; kBn = 0 is
-    // the runtime-size fallback. Identical values in identical order either
-    // way.
-    const auto block_body = [&]<std::size_t kBn>(std::size_t g, double& best,
-                                                 std::vector<double>& rb) {
+    // gb_* tables. rb holds the block's rhs; the chain includes the zero
+    // terms the flat scalar sweeps of the reference contribute at these
+    // positions. kBn = 2 compiles the dominant double-height case with
+    // every block loop fully unrolled; kBn = 0 is the runtime-size
+    // fallback. Identical values in identical order either way.
+    Vector& rb = state.block_rhs;
+    const auto block_body = [&]<std::size_t kBn>(std::size_t g) {
       const std::size_t off = gb_off_[g];
       const std::size_t bn = kBn != 0 ? kBn : gb_dim_[g];
       const double* const kd = gb_vals_.data() + gb_data_[g];
@@ -595,26 +556,16 @@ double MmsimSolver::step_fused_impl(State& state) const {
         for (std::size_t c = 0; c < bn; ++c) sum += invd[r * bn + c] * rb[c];
         new_s1[off + r] = sum;
         const double zi = (std::abs(sum) + sum) * inv_gamma;
-        best = std::max(best, std::abs(zi - z[off + r]));
+        delta = std::max(delta, std::abs(zi - z[off + r]));
         z[off + r] = zi;
       }
     };
-    const double general_delta = parallel_reduce(
-        std::size_t{0}, gb_off_.size(), kGrainBlocks, 0.0,
-        [&](std::size_t lo, std::size_t hi) {
-          double best = 0.0;
-          std::vector<double>& rb =
-              runtime::thread_scratch(0, max_general_rows_);
-          for (std::size_t g = lo; g < hi; ++g) {
-            if (gb_dim_[g] == 2)
-              block_body.template operator()<2>(g, best, rb);
-            else
-              block_body.template operator()<0>(g, best, rb);
-          }
-          return best;
-        },
-        fold_max);
-    delta = std::max(scalar_delta, general_delta);
+    for (std::size_t g = 0; g < gb_off_.size(); ++g) {
+      if (gb_dim_[g] == 2)
+        block_body.template operator()<2>(g);
+      else
+        block_body.template operator()<0>(g);
+    }
   }
 
   if (m > 0) {
@@ -631,66 +582,57 @@ double MmsimSolver::step_fused_impl(State& state) const {
       const double* const b_v1 = kGather2 ? b_g2_->v1.data() : nullptr;
       const std::uint32_t* const b_c0 = kGather2 ? b_g2_->c0.data() : nullptr;
       const std::uint32_t* const b_c1 = kGather2 ? b_g2_->c1.data() : nullptr;
-      kernels::DualRhsCtx dctx{};
-      if (sk != nullptr)
-        dctx = {s2.data(),
-                d_.diag_data().data(),
-                d_.lower_data().data(),
-                d_.upper_data().data(),
-                qp_.b.data(),
-                s1.data(),
-                s1_used.data(),
-                b_v0,
-                b_v1,
-                b_c0,
-                b_c1,
-                rhs2.data(),
-                inv_theta,
-                gamma,
-                m};
-      parallel_for(
-          std::size_t{0}, m, kGrainElementwise,
-          [&](std::size_t lo, std::size_t hi) {
-            if constexpr (kGather2) {
-              if (sk != nullptr) {
-                sk->dual_rhs(dctx, lo, hi);
-                return;
-              }
+      if (sk != nullptr) {
+        const kernels::DualRhsCtx dctx{s2.data(),
+                                       d_.diag_data().data(),
+                                       d_.lower_data().data(),
+                                       d_.upper_data().data(),
+                                       qp_.b.data(),
+                                       s1.data(),
+                                       s1_used.data(),
+                                       b_v0,
+                                       b_v1,
+                                       b_c0,
+                                       b_c1,
+                                       rhs2.data(),
+                                       inv_theta,
+                                       gamma,
+                                       m};
+        sk->dual_rhs(dctx, 0, m);
+      } else {
+        for (std::size_t i = 0; i < m; ++i) {
+          double sum = d_.diag(i) * s2[i];
+          if (i > 0) sum += d_.lower(i - 1) * s2[i - 1];
+          if (i + 1 < m) sum += d_.upper(i) * s2[i + 1];
+          double t = inv_theta * sum + std::abs(s2[i]) + gamma * qp_.b[i];
+          double g_abs = 0.0;   // B |s1|
+          double g_used = 0.0;  // B s1_used, same single traversal
+          if constexpr (kGather2) {
+            {
+              const double v = b_v0[i];
+              const std::size_t c = b_c0[i];
+              g_abs += v * std::abs(s1[c]);
+              g_used += v * s1_used[c];
             }
-            for (std::size_t i = lo; i < hi; ++i) {
-              double sum = d_.diag(i) * s2[i];
-              if (i > 0) sum += d_.lower(i - 1) * s2[i - 1];
-              if (i + 1 < m) sum += d_.upper(i) * s2[i + 1];
-              double t =
-                  inv_theta * sum + std::abs(s2[i]) + gamma * qp_.b[i];
-              double g_abs = 0.0;   // B |s1|
-              double g_used = 0.0;  // B s1_used, same single traversal
-              if constexpr (kGather2) {
-                {
-                  const double v = b_v0[i];
-                  const std::size_t c = b_c0[i];
-                  g_abs += v * std::abs(s1[c]);
-                  g_used += v * s1_used[c];
-                }
-                {
-                  const double v = b_v1[i];
-                  const std::size_t c = b_c1[i];
-                  g_abs += v * std::abs(s1[c]);
-                  g_used += v * s1_used[c];
-                }
-              } else {
-                for (std::size_t k = b_rp[i]; k < b_rp[i + 1]; ++k) {
-                  const double v = b_v[k];
-                  const std::size_t c = b_ci[k];
-                  g_abs += v * std::abs(s1[c]);
-                  g_used += v * s1_used[c];
-                }
-              }
-              t += -1.0 * g_abs;
-              t += -1.0 * g_used;
-              rhs2[i] = t;
+            {
+              const double v = b_v1[i];
+              const std::size_t c = b_c1[i];
+              g_abs += v * std::abs(s1[c]);
+              g_used += v * s1_used[c];
             }
-          });
+          } else {
+            for (std::size_t k = b_rp[i]; k < b_rp[i + 1]; ++k) {
+              const double v = b_v[k];
+              const std::size_t c = b_ci[k];
+              g_abs += v * std::abs(s1[c]);
+              g_used += v * s1_used[c];
+            }
+          }
+          t += -1.0 * g_abs;
+          t += -1.0 * g_used;
+          rhs2[i] = t;
+        }
+      }
     }
     {
       PhaseTimer timer(profile_, state.phase.thomas_seconds);
@@ -698,25 +640,17 @@ double MmsimSolver::step_fused_impl(State& state) const {
     }
     {
       PhaseTimer timer(profile_, state.phase.kernel_seconds);
-      kernels::DualZCtx zctx{};
-      if (sk != nullptr) zctx = {new_s2.data(), z.data() + n, inv_gamma};
-      const double dual_delta = parallel_reduce(
-          std::size_t{0}, m, kGrainElementwise, 0.0,
-          [&](std::size_t lo, std::size_t hi) {
-            if constexpr (kGather2) {
-              if (sk != nullptr) return sk->dual_z(zctx, lo, hi);
-            }
-            double best = 0.0;
-            for (std::size_t i = lo; i < hi; ++i) {
-              const double ns = new_s2[i];
-              const double zi = (std::abs(ns) + ns) * inv_gamma;
-              best = std::max(best, std::abs(zi - z[n + i]));
-              z[n + i] = zi;
-            }
-            return best;
-          },
-          fold_max);
-      delta = std::max(delta, dual_delta);
+      if (sk != nullptr) {
+        const kernels::DualZCtx zctx{new_s2.data(), z.data() + n, inv_gamma};
+        delta = std::max(delta, sk->dual_z(zctx, 0, m));
+      } else {
+        for (std::size_t i = 0; i < m; ++i) {
+          const double ns = new_s2[i];
+          const double zi = (std::abs(ns) + ns) * inv_gamma;
+          delta = std::max(delta, std::abs(zi - z[n + i]));
+          z[n + i] = zi;
+        }
+      }
     }
   } else {
     new_s2.clear();

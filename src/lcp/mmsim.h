@@ -19,9 +19,9 @@
 // solve in O(m)). Every iteration is therefore linear-time in the circuit
 // size; this is the paper's central efficiency claim.
 //
-// The element-wise modulus stages and all matrix products run on the global
-// parallel runtime (src/runtime/) and are bitwise-deterministic for any
-// thread count; the Thomas solve is the one inherently sequential stage.
+// One iteration is serial on the calling thread; the legalizer spreads
+// independent components across threads (src/runtime/), so a solve's
+// result never depends on the thread count.
 //
 // Convergence (paper Theorem 2): guaranteed for 0 < β* < 2 and
 // 0 < θ* < 2(2 − β*)/(β*·μ_max), μ_max the largest eigenvalue of
@@ -164,6 +164,7 @@ class MmsimSolver {
     Vector z_prev;
     Vector rhs2, new_s1, new_s2;  ///< scratch
     Vector thomas_d;          ///< Thomas forward-sweep scratch
+    Vector block_rhs;         ///< rhs of one non-1×1 K block (fused step)
     /// 3-class sign pattern of [s1; s2] at the last finisher snapshot
     /// (solve_finished only; empty until the first snapshot).
     std::vector<signed char> pattern;
@@ -203,12 +204,12 @@ class MmsimSolver {
   /// Advances one modulus iteration and returns ‖z⁽ᵏ⁾ − z⁽ᵏ⁻¹⁾‖∞. The
   /// caller owns the stopping rule (solve_from() applies the tolerance +
   /// residual_check policy in MmsimOptions). Runs the fused single-sweep
-  /// kernels: two parallel sweeps per half-step, no |s| or rhs intermediates.
+  /// kernels: two sweeps per half-step, no |s| or rhs intermediates.
   double step(State& state) const;
 
   /// The stage-by-stage iteration, one matrix product or element-wise stage
   /// at a time — the test oracle that step() must reproduce bit for bit on
-  /// z, x and dual at every thread count and SIMD level
+  /// z, x and dual at every SIMD level
   /// (tests/lcp/mmsim_fused_test, tests/lcp/mmsim_simd_test). Not used by
   /// any solve.
   double step_reference(State& state) const;
@@ -297,7 +298,7 @@ class MmsimSolver {
   std::vector<std::uint32_t> gb_dim_;
   std::vector<std::size_t> gb_data_;
   Vector gb_vals_;
-  /// Largest non-1×1 block dimension — sizes the per-thread block scratch.
+  /// Largest non-1×1 block dimension — sizes State::block_rhs.
   std::size_t max_general_rows_ = 0;
   /// Collect MmsimPhaseTimes. Disabled for tiny systems, where the timer
   /// reads would rival the arithmetic (see MmsimPhaseTimes).

@@ -4,19 +4,9 @@
 #include <cmath>
 
 #include "linalg/simd_kernels.h"
-#include "runtime/parallel.h"
 #include "util/check.h"
 
 namespace mch::linalg {
-
-namespace {
-using runtime::kGrainElementwise;
-using runtime::parallel_for;
-
-/// Grain for the non-1×1 block sweeps: blocks are small dense systems, a
-/// few hundred per chunk keeps dispatch cost negligible.
-constexpr std::size_t kGrainBlocks = 256;
-}  // namespace
 
 std::size_t BlockDiagMatrix::add_scalar_block(double value) {
   // Same criterion as DenseMatrix::solve's pivot check, so a singular 1×1
@@ -115,66 +105,44 @@ void BlockDiagMatrix::multiply_add(double alpha, const Vector& x,
                                    Vector& y) const {
   MCH_CHECK(x.size() == size_ && y.size() == size_);
   // One flat sweep covers every scalar block (zeros elsewhere are benign);
-  // a second sweep handles the multi-row blocks. Both are parallel: every
-  // y element is owned by one index of one sweep (general blocks overwrite
-  // only their own offsets, and the sweeps are separated by a barrier).
-  const kernels::CsrSimdKernels* const sk =
-      kernels::csr_simd_kernels(simd_level());
-  parallel_for(std::size_t{0}, size_, kGrainElementwise,
-               [&](std::size_t lo, std::size_t hi) {
-                 if (sk != nullptr) {
-                   sk->ew_scale_add(alpha, scalar_values_.data(), x.data(),
-                                    y.data(), lo, hi);
-                   return;
-                 }
-                 for (std::size_t i = lo; i < hi; ++i)
-                   y[i] += alpha * scalar_values_[i] * x[i];
-               });
-  parallel_for(std::size_t{0}, general_blocks_.size(), kGrainBlocks,
-               [&](std::size_t lo, std::size_t hi) {
-                 for (std::size_t g = lo; g < hi; ++g) {
-                   const DenseMatrix& blk = general_dense_[g];
-                   const std::size_t off = offsets_[general_blocks_[g]];
-                   const std::size_t n = blk.rows();
-                   for (std::size_t r = 0; r < n; ++r) {
-                     double sum = 0.0;
-                     for (std::size_t c = 0; c < n; ++c)
-                       sum += blk(r, c) * x[off + c];
-                     y[off + r] += alpha * sum;
-                   }
-                 }
-               });
+  // a second sweep handles the multi-row blocks.
+  if (const auto* sk = kernels::csr_simd_kernels(simd_level())) {
+    sk->ew_scale_add(alpha, scalar_values_.data(), x.data(), y.data(), 0,
+                     size_);
+  } else {
+    for (std::size_t i = 0; i < size_; ++i)
+      y[i] += alpha * scalar_values_[i] * x[i];
+  }
+  for (std::size_t g = 0; g < general_blocks_.size(); ++g) {
+    const DenseMatrix& blk = general_dense_[g];
+    const std::size_t off = offsets_[general_blocks_[g]];
+    const std::size_t n = blk.rows();
+    for (std::size_t r = 0; r < n; ++r) {
+      double sum = 0.0;
+      for (std::size_t c = 0; c < n; ++c) sum += blk(r, c) * x[off + c];
+      y[off + r] += alpha * sum;
+    }
+  }
 }
 
 void BlockDiagMatrix::solve(const Vector& x, Vector& y) const {
   MCH_CHECK(x.size() == size_);
   y.resize(size_);
-  const kernels::CsrSimdKernels* const sk =
-      kernels::csr_simd_kernels(simd_level());
-  parallel_for(std::size_t{0}, size_, kGrainElementwise,
-               [&](std::size_t lo, std::size_t hi) {
-                 if (sk != nullptr) {
-                   sk->ew_mul(scalar_inverses_.data(), x.data(), y.data(), lo,
-                              hi);
-                   return;
-                 }
-                 for (std::size_t i = lo; i < hi; ++i)
-                   y[i] = scalar_inverses_[i] * x[i];
-               });
-  parallel_for(std::size_t{0}, general_blocks_.size(), kGrainBlocks,
-               [&](std::size_t lo, std::size_t hi) {
-                 for (std::size_t g = lo; g < hi; ++g) {
-                   const DenseMatrix& inv = general_inverses_[g];
-                   const std::size_t off = offsets_[general_blocks_[g]];
-                   const std::size_t n = inv.rows();
-                   for (std::size_t r = 0; r < n; ++r) {
-                     double sum = 0.0;
-                     for (std::size_t c = 0; c < n; ++c)
-                       sum += inv(r, c) * x[off + c];
-                     y[off + r] = sum;
-                   }
-                 }
-               });
+  if (const auto* sk = kernels::csr_simd_kernels(simd_level())) {
+    sk->ew_mul(scalar_inverses_.data(), x.data(), y.data(), 0, size_);
+  } else {
+    for (std::size_t i = 0; i < size_; ++i) y[i] = scalar_inverses_[i] * x[i];
+  }
+  for (std::size_t g = 0; g < general_blocks_.size(); ++g) {
+    const DenseMatrix& inv = general_inverses_[g];
+    const std::size_t off = offsets_[general_blocks_[g]];
+    const std::size_t n = inv.rows();
+    for (std::size_t r = 0; r < n; ++r) {
+      double sum = 0.0;
+      for (std::size_t c = 0; c < n; ++c) sum += inv(r, c) * x[off + c];
+      y[off + r] = sum;
+    }
+  }
 }
 
 void BlockDiagMatrix::solve_shifted(double alpha, double beta, const Vector& x,

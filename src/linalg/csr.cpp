@@ -8,15 +8,11 @@
 #include "linalg/simd.h"
 #include "linalg/simd_kernels.h"
 #include "linalg/sparse.h"
-#include "runtime/parallel.h"
 #include "util/check.h"
 
 namespace mch::linalg {
 
 namespace {
-using runtime::kGrainRows;
-using runtime::parallel_for;
-
 kernels::CsrGather2Ctx gather2_ctx(const CsrGather2& g) {
   return kernels::CsrGather2Ctx{g.v0.data(), g.v1.data(), g.c0.data(),
                                 g.c1.data(), g.len.data()};
@@ -166,28 +162,20 @@ void CsrMatrix::multiply(const Vector& x, Vector& y) const {
 
 void CsrMatrix::multiply_add(double alpha, const Vector& x, Vector& y) const {
   MCH_CHECK(x.size() == cols_ && y.size() == rows_);
-  // Row-parallel: each output row is owned by exactly one iteration. The
-  // SIMD path runs rows 4/8 at a time through the gather table; bitwise
+  // The SIMD path runs rows 4/8 at a time through the gather table; bitwise
   // identical to the scalar loop (see simd_kernels.h).
   if (const auto* sk = kernels::csr_simd_kernels(simd_level())) {
     if (const CsrGather2* g = gather2_view()) {
-      const kernels::CsrGather2Ctx ctx = gather2_ctx(*g);
-      parallel_for(std::size_t{0}, rows_, kGrainRows,
-                   [&](std::size_t lo, std::size_t hi) {
-                     sk->add(ctx, alpha, x.data(), y.data(), lo, hi);
-                   });
+      sk->add(gather2_ctx(*g), alpha, x.data(), y.data(), 0, rows_);
       return;
     }
   }
-  parallel_for(std::size_t{0}, rows_, kGrainRows,
-               [&](std::size_t lo, std::size_t hi) {
-                 for (std::size_t r = lo; r < hi; ++r) {
-                   double sum = 0.0;
-                   for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k)
-                     sum += values_[k] * x[col_idx_[k]];
-                   y[r] += alpha * sum;
-                 }
-               });
+  for (std::size_t r = 0; r < rows_; ++r) {
+    double sum = 0.0;
+    for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k)
+      sum += values_[k] * x[col_idx_[k]];
+    y[r] += alpha * sum;
+  }
 }
 
 void CsrMatrix::multiply_add2(double a1, const Vector& x1, double a2,
@@ -198,31 +186,23 @@ void CsrMatrix::multiply_add2(double a1, const Vector& x1, double a2,
   // use, so the result is bitwise identical to the sequential pair.
   if (const auto* sk = kernels::csr_simd_kernels(simd_level())) {
     if (const CsrGather2* g = gather2_view()) {
-      const kernels::CsrGather2Ctx ctx = gather2_ctx(*g);
-      parallel_for(std::size_t{0}, rows_, kGrainRows,
-                   [&](std::size_t lo, std::size_t hi) {
-                     sk->add2(ctx, a1, x1.data(), a2, x2.data(), y.data(), lo,
-                              hi);
-                   });
+      sk->add2(gather2_ctx(*g), a1, x1.data(), a2, x2.data(), y.data(), 0,
+               rows_);
       return;
     }
   }
-  parallel_for(std::size_t{0}, rows_, kGrainRows,
-               [&](std::size_t lo, std::size_t hi) {
-                 for (std::size_t r = lo; r < hi; ++r) {
-                   double sum1 = 0.0;
-                   double sum2 = 0.0;
-                   for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1];
-                        ++k) {
-                     const double v = values_[k];
-                     const std::size_t c = col_idx_[k];
-                     sum1 += v * x1[c];
-                     sum2 += v * x2[c];
-                   }
-                   y[r] += a1 * sum1;
-                   y[r] += a2 * sum2;
-                 }
-               });
+  for (std::size_t r = 0; r < rows_; ++r) {
+    double sum1 = 0.0;
+    double sum2 = 0.0;
+    for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
+      const double v = values_[k];
+      const std::size_t c = col_idx_[k];
+      sum1 += v * x1[c];
+      sum2 += v * x2[c];
+    }
+    y[r] += a1 * sum1;
+    y[r] += a2 * sum2;
+  }
 }
 
 const CsrMatrix& CsrMatrix::transpose_view() const {
@@ -287,31 +267,22 @@ void CsrMatrix::multiply_transpose_add(double alpha, const Vector& x,
                                        Vector& y) const {
   MCH_CHECK(x.size() == rows_ && y.size() == cols_);
   // Gather through the cached Aᵀ view rather than scattering into y: row c
-  // of Aᵀ lists exactly the entries of column c of A, so each output
-  // element is owned by one iteration and rows parallelize safely. The
-  // entries arrive in the same ascending-row order the serial scatter
-  // visited them, and the result does not depend on the thread count.
+  // of Aᵀ lists exactly the entries of column c of A, in the same
+  // ascending-row order a scatter would visit them, and the gather table
+  // lets the SIMD kernels run the transpose like any other product.
   const CsrMatrix& at = transpose_view();
   if (const auto* sk = kernels::csr_simd_kernels(simd_level())) {
     if (const CsrGather2* g = at.gather2_view()) {
-      const kernels::CsrGather2Ctx ctx = gather2_ctx(*g);
-      parallel_for(std::size_t{0}, cols_, kGrainRows,
-                   [&](std::size_t lo, std::size_t hi) {
-                     sk->add(ctx, alpha, x.data(), y.data(), lo, hi);
-                   });
+      sk->add(gather2_ctx(*g), alpha, x.data(), y.data(), 0, cols_);
       return;
     }
   }
-  parallel_for(std::size_t{0}, cols_, kGrainRows,
-               [&](std::size_t lo, std::size_t hi) {
-                 for (std::size_t c = lo; c < hi; ++c) {
-                   double sum = 0.0;
-                   for (std::size_t k = at.row_ptr_[c]; k < at.row_ptr_[c + 1];
-                        ++k)
-                     sum += at.values_[k] * x[at.col_idx_[k]];
-                   y[c] += alpha * sum;
-                 }
-               });
+  for (std::size_t c = 0; c < cols_; ++c) {
+    double sum = 0.0;
+    for (std::size_t k = at.row_ptr_[c]; k < at.row_ptr_[c + 1]; ++k)
+      sum += at.values_[k] * x[at.col_idx_[k]];
+    y[c] += alpha * sum;
+  }
 }
 
 void CsrMatrix::multiply_transpose_add2(double a1, const Vector& x1, double a2,
@@ -320,31 +291,23 @@ void CsrMatrix::multiply_transpose_add2(double a1, const Vector& x1, double a2,
   const CsrMatrix& at = transpose_view();
   if (const auto* sk = kernels::csr_simd_kernels(simd_level())) {
     if (const CsrGather2* g = at.gather2_view()) {
-      const kernels::CsrGather2Ctx ctx = gather2_ctx(*g);
-      parallel_for(std::size_t{0}, cols_, kGrainRows,
-                   [&](std::size_t lo, std::size_t hi) {
-                     sk->add2(ctx, a1, x1.data(), a2, x2.data(), y.data(), lo,
-                              hi);
-                   });
+      sk->add2(gather2_ctx(*g), a1, x1.data(), a2, x2.data(), y.data(), 0,
+               cols_);
       return;
     }
   }
-  parallel_for(std::size_t{0}, cols_, kGrainRows,
-               [&](std::size_t lo, std::size_t hi) {
-                 for (std::size_t c = lo; c < hi; ++c) {
-                   double sum1 = 0.0;
-                   double sum2 = 0.0;
-                   for (std::size_t k = at.row_ptr_[c]; k < at.row_ptr_[c + 1];
-                        ++k) {
-                     const double v = at.values_[k];
-                     const std::size_t r = at.col_idx_[k];
-                     sum1 += v * x1[r];
-                     sum2 += v * x2[r];
-                   }
-                   y[c] += a1 * sum1;
-                   y[c] += a2 * sum2;
-                 }
-               });
+  for (std::size_t c = 0; c < cols_; ++c) {
+    double sum1 = 0.0;
+    double sum2 = 0.0;
+    for (std::size_t k = at.row_ptr_[c]; k < at.row_ptr_[c + 1]; ++k) {
+      const double v = at.values_[k];
+      const std::size_t r = at.col_idx_[k];
+      sum1 += v * x1[r];
+      sum2 += v * x2[r];
+    }
+    y[c] += a1 * sum1;
+    y[c] += a2 * sum2;
+  }
 }
 
 CsrMatrix CsrMatrix::transpose() const {

@@ -4,8 +4,8 @@
 // Storage is the classic three-array CSR layout (row_ptr / col_idx /
 // values). Transpose products gather through a lazily built and cached CSR
 // view of Aᵀ instead of scattering into y: each output element is then
-// owned by exactly one loop iteration, which lets the runtime parallelize
-// transpose products row-wise with results independent of the thread count.
+// one row sum, so transpose products run through the same row kernels
+// (scalar or SIMD) as forward products.
 // transpose_view() exposes that cached view so fused iteration kernels
 // (lcp/mmsim.cpp) can traverse Aᵀ rows directly without re-entering the
 // build lock per product.

@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "runtime/parallel.h"
 #include "util/check.h"
 
 namespace mch::linalg {
@@ -23,22 +22,16 @@ void Tridiagonal::multiply(const Vector& x, Vector& y) const {
   const std::size_t n = size();
   MCH_CHECK(x.size() == n);
   y.assign(n, 0.0);
-  // Row-parallel: each output reads only its neighbors of the input.
-  runtime::parallel_for(
-      std::size_t{0}, n, runtime::kGrainElementwise,
-      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
-          double sum = diag_[i] * x[i];
-          if (i > 0) sum += lower_[i - 1] * x[i - 1];
-          if (i + 1 < n) sum += upper_[i] * x[i + 1];
-          y[i] = sum;
-        }
-      });
+  for (std::size_t i = 0; i < n; ++i) {
+    double sum = diag_[i] * x[i];
+    if (i > 0) sum += lower_[i - 1] * x[i - 1];
+    if (i + 1 < n) sum += upper_[i] * x[i + 1];
+    y[i] = sum;
+  }
 }
 
-// The Thomas recurrences are inherently sequential (each pivot depends on
-// the previous one), so the solve intentionally stays on one thread; it is
-// the only serial O(m) term left in an MMSIM iteration.
+// The Thomas recurrences are inherently sequential: each pivot depends on
+// the previous one.
 bool Tridiagonal::solve(const Vector& rhs, Vector& x) const {
   Vector c_prime, d_prime;
   return solve_with(rhs, x, c_prime, d_prime);

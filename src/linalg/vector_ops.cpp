@@ -3,89 +3,62 @@
 #include <algorithm>
 #include <cmath>
 
-#include "runtime/parallel.h"
 #include "util/check.h"
 
 namespace mch::linalg {
 
 namespace {
-using runtime::kGrainElementwise;
-using runtime::parallel_for;
-using runtime::parallel_reduce;
+/// dot() sums each block of this many elements on its own and folds the
+/// block sums left to right. The summation order is a function of the
+/// length alone; it is the order every committed result was computed in.
+constexpr std::size_t kDotBlock = 4096;
 }  // namespace
 
 double dot(const Vector& a, const Vector& b) {
   MCH_CHECK(a.size() == b.size());
-  // Fixed-chunk reduction (see runtime/parallel.h): the summation order is
-  // a function of the vector length only, so the result is bitwise
-  // reproducible at every thread count.
-  return parallel_reduce(
-      std::size_t{0}, a.size(), kGrainElementwise, 0.0,
-      [&](std::size_t lo, std::size_t hi) {
-        double sum = 0.0;
-        for (std::size_t i = lo; i < hi; ++i) sum += a[i] * b[i];
-        return sum;
-      },
-      [](double acc, double partial) { return acc + partial; });
+  double total = 0.0;
+  for (std::size_t lo = 0; lo < a.size(); lo += kDotBlock) {
+    const std::size_t hi = std::min(lo + kDotBlock, a.size());
+    double sum = 0.0;
+    for (std::size_t i = lo; i < hi; ++i) sum += a[i] * b[i];
+    total += sum;
+  }
+  return total;
 }
 
 void axpy(double alpha, const Vector& x, Vector& y) {
   MCH_CHECK(x.size() == y.size());
-  parallel_for(std::size_t{0}, x.size(), kGrainElementwise,
-               [&](std::size_t lo, std::size_t hi) {
-                 for (std::size_t i = lo; i < hi; ++i) y[i] += alpha * x[i];
-               });
+  for (std::size_t i = 0; i < x.size(); ++i) y[i] += alpha * x[i];
 }
 
 double norm2(const Vector& a) { return std::sqrt(dot(a, a)); }
 
 double norm_inf(const Vector& a) {
-  return parallel_reduce(
-      std::size_t{0}, a.size(), kGrainElementwise, 0.0,
-      [&](std::size_t lo, std::size_t hi) {
-        double best = 0.0;
-        for (std::size_t i = lo; i < hi; ++i)
-          best = std::max(best, std::abs(a[i]));
-        return best;
-      },
-      [](double acc, double partial) { return std::max(acc, partial); });
+  double best = 0.0;
+  for (const double v : a) best = std::max(best, std::abs(v));
+  return best;
 }
 
 double diff_norm_inf(const Vector& a, const Vector& b) {
   MCH_CHECK(a.size() == b.size());
-  return parallel_reduce(
-      std::size_t{0}, a.size(), kGrainElementwise, 0.0,
-      [&](std::size_t lo, std::size_t hi) {
-        double best = 0.0;
-        for (std::size_t i = lo; i < hi; ++i)
-          best = std::max(best, std::abs(a[i] - b[i]));
-        return best;
-      },
-      [](double acc, double partial) { return std::max(acc, partial); });
+  double best = 0.0;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    best = std::max(best, std::abs(a[i] - b[i]));
+  return best;
 }
 
 void scale(double alpha, Vector& a) {
-  parallel_for(std::size_t{0}, a.size(), kGrainElementwise,
-               [&](std::size_t lo, std::size_t hi) {
-                 for (std::size_t i = lo; i < hi; ++i) a[i] *= alpha;
-               });
+  for (double& v : a) v *= alpha;
 }
 
 void abs_into(const Vector& a, Vector& out) {
   out.resize(a.size());
-  parallel_for(std::size_t{0}, a.size(), kGrainElementwise,
-               [&](std::size_t lo, std::size_t hi) {
-                 for (std::size_t i = lo; i < hi; ++i) out[i] = std::abs(a[i]);
-               });
+  for (std::size_t i = 0; i < a.size(); ++i) out[i] = std::abs(a[i]);
 }
 
 void positive_part(const Vector& a, Vector& out) {
   out.resize(a.size());
-  parallel_for(std::size_t{0}, a.size(), kGrainElementwise,
-               [&](std::size_t lo, std::size_t hi) {
-                 for (std::size_t i = lo; i < hi; ++i)
-                   out[i] = std::max(a[i], 0.0);
-               });
+  for (std::size_t i = 0; i < a.size(); ++i) out[i] = std::max(a[i], 0.0);
 }
 
 }  // namespace mch::linalg

@@ -7,10 +7,8 @@
 // (linalg/simd_kernels.h) issue full-width loads from array bases. All
 // functions check size agreement.
 //
-// Every kernel runs on the global runtime (src/runtime/) when it is
-// configured with more than one thread. Reductions (dot, the norms) use the
-// fixed-chunk deterministic reduce, so their results are bitwise-identical
-// at every thread count.
+// Every kernel is a serial loop on the calling thread: parallelism lives
+// one level up, across independent components and designs (runtime/).
 #pragma once
 
 #include <cstddef>

@@ -1,18 +1,17 @@
 // Process-wide parallel runtime configuration.
 //
 // A single Runtime owns the worker thread pool shared by every parallel
-// kernel in the library. The thread count is resolved, in order of
-// precedence, from:
+// loop in the library (component solves, suite designs, client requests).
+// The thread count is resolved, in order of precedence, from:
 //
 //   1. an explicit Runtime::configure(n) call (the --threads CLI flag in
 //      the benches/tools ends up here, see runtime/options.h);
 //   2. the MCH_THREADS environment variable;
 //   3. std::thread::hardware_concurrency().
 //
-// A thread count of 1 keeps every kernel on the calling thread with no pool
-// at all — exactly the pre-runtime serial behavior. Larger counts enable
-// the pool, and by the determinism contract of runtime/parallel.h every
-// result is bitwise-identical to the 1-thread run.
+// A thread count of 1 keeps all work on the calling thread with no pool at
+// all. Larger counts enable the pool, and by the determinism contract of
+// runtime/parallel.h every result is bitwise-identical to the 1-thread run.
 //
 // configure() may be called repeatedly (the tests switch between 1 and N
 // threads to compare results) but only from a single thread while no
@@ -41,11 +40,8 @@ class Runtime {
 
   unsigned threads() const { return threads_; }
 
-  /// The shared work-stealing scheduler, or nullptr when running
-  /// single-threaded. (`pool()` is the historical name; the scheduler is
-  /// the pool plus the cross-job queueing on top.)
+  /// The shared job scheduler, or nullptr when running single-threaded.
   Scheduler* scheduler() const { return scheduler_.get(); }
-  Scheduler* pool() const { return scheduler_.get(); }
 
  private:
   explicit Runtime(unsigned threads);

@@ -1,7 +1,7 @@
 #include "runtime/scheduler.h"
 
 #include <algorithm>
-#include <cstdlib>
+#include <exception>
 #include <string>
 
 #include "obs/metrics.h"
@@ -13,25 +13,9 @@ namespace mch::runtime {
 
 namespace {
 
-/// Which scheduler (if any) the calling thread is a worker of. Decides
-/// where a nested submission's tickets land: the worker's own deque
-/// (stealable children) vs. the global injection queue.
-struct WorkerIdentity {
-  Scheduler* owner = nullptr;
-  unsigned index = 0;
-};
-thread_local WorkerIdentity t_worker;
-
-/// True while the calling thread executes a chunk body. Saved/restored by
-/// ExecuteScope rather than cleared, because nested jobs re-enter
-/// execute_chunk on the same thread.
+/// True while the calling thread executes a chunk body; run() consults it
+/// for the nesting rule.
 thread_local bool t_in_task = false;
-
-struct ExecuteScope {
-  bool previous;
-  ExecuteScope() : previous(t_in_task) { t_in_task = true; }
-  ~ExecuteScope() { t_in_task = previous; }
-};
 
 /// Pool ids and log worker ids are process-wide counters so two pools in
 /// one process (the global Runtime's plus ad-hoc test pools) never hand
@@ -39,33 +23,12 @@ struct ExecuteScope {
 std::atomic<unsigned> g_next_pool_id{0};
 std::atomic<int> g_next_log_worker_id{1};
 
-bool env_flag(const char* name, bool default_value) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return default_value;
-  return !(value[0] == '0' && value[1] == '\0');
-}
-
-/// Knob cells: -1 = unresolved (read the environment on first use),
-/// otherwise 0/1. Setters overwrite, so tests can flip them after start.
-std::atomic<int> g_nested_scheduling{-1};
-std::atomic<int> g_steal_first{-1};
-
-bool resolve_flag(std::atomic<int>& cell, const char* env_name,
-                  bool default_value) {
-  int value = cell.load(std::memory_order_relaxed);
-  if (value < 0) {
-    value = env_flag(env_name, default_value) ? 1 : 0;
-    cell.store(value, std::memory_order_relaxed);
-  }
-  return value != 0;
-}
-
 }  // namespace
 
-/// One top-level or nested submission. Stack-allocated in run(); the
-/// combined `remaining` count (chunks + issued tickets) guarantees a
-/// unique zeroing thread, which marks `done` under `mu` — so nobody can
-/// touch a Job after the submitter's wait returns and the frame dies.
+/// One top-level submission. Stack-allocated in run(); the combined
+/// `remaining` count (chunks + issued tickets) guarantees a unique zeroing
+/// thread, which marks `done` under `mu` — so nobody can touch a Job after
+/// the submitter's wait returns and the frame dies.
 struct Scheduler::Job {
   const std::function<void(std::size_t)>* task = nullptr;
   std::size_t chunks = 0;
@@ -85,45 +48,10 @@ struct Scheduler::Job {
   std::exception_ptr error;      ///< guarded by mu; first chunk failure
 };
 
-bool Scheduler::in_task() { return t_in_task; }
-
-int Scheduler::current_worker_index() const {
-  return t_worker.owner == this ? static_cast<int>(t_worker.index) : -1;
-}
-
-bool Scheduler::nested_scheduling_enabled() {
-  return resolve_flag(g_nested_scheduling, "MCH_SCHED_NESTED", true);
-}
-
-void Scheduler::set_nested_scheduling(bool enabled) {
-  g_nested_scheduling.store(enabled ? 1 : 0, std::memory_order_relaxed);
-}
-
-bool Scheduler::steal_first() {
-  return resolve_flag(g_steal_first, "MCH_SCHED_STEAL_FIRST", false);
-}
-
-void Scheduler::set_steal_first(bool enabled) {
-  g_steal_first.store(enabled ? 1 : 0, std::memory_order_relaxed);
-}
-
-void Scheduler::reset_knobs() {
-  g_nested_scheduling.store(-1, std::memory_order_relaxed);
-  g_steal_first.store(-1, std::memory_order_relaxed);
-}
-
-void Scheduler::note_nested_inline(std::size_t chunks) {
-  static obs::Counter& inline_chunks = obs::counter("sched.nested_inline");
-  inline_chunks.add(static_cast<std::uint64_t>(chunks));
-}
-
 Scheduler::Scheduler(unsigned thread_count)
     : pool_id_(g_next_pool_id.fetch_add(1, std::memory_order_relaxed)) {
   MCH_CHECK_MSG(thread_count >= 1, "scheduler needs at least one thread");
   const unsigned worker_count = thread_count - 1;
-  queues_.reserve(worker_count);
-  for (unsigned i = 0; i < worker_count; ++i)
-    queues_.push_back(std::make_unique<WorkerQueue>());
   workers_.reserve(worker_count);
   for (unsigned i = 0; i < worker_count; ++i)
     workers_.emplace_back([this, i] { worker_main(i); });
@@ -139,13 +67,14 @@ Scheduler::~Scheduler() {
 }
 
 void Scheduler::execute_chunk(Job& job, std::size_t chunk) {
-  ExecuteScope scope;
+  t_in_task = true;
   try {
     (*job.task)(chunk);
   } catch (...) {
     std::lock_guard<std::mutex> lock(job.mu);
     if (!job.error) job.error = std::current_exception();
   }
+  t_in_task = false;
 }
 
 void Scheduler::finish(Job& job, std::size_t n) {
@@ -174,32 +103,21 @@ std::size_t Scheduler::drain(Job& job) {
   return executed;
 }
 
-void Scheduler::push_tickets(Job* job, std::size_t count, int home) {
-  if (home >= 0) {
-    WorkerQueue& queue = *queues_[static_cast<std::size_t>(home)];
-    std::lock_guard<std::mutex> lock(queue.mutex);
-    for (std::size_t i = 0; i < count; ++i) queue.tickets.push_back(job);
-  } else {
+void Scheduler::push_tickets(Job* job, std::size_t count) {
+  {
     std::lock_guard<std::mutex> lock(injection_mutex_);
-    for (std::size_t i = 0; i < count; ++i) injection_.push_back(job);
+    injection_.insert(injection_.end(), count, job);
   }
   wake_workers();
 }
 
 void Scheduler::cancel_tickets(Job* job) {
   std::size_t removed = 0;
-  const auto strip = [&removed, job](std::deque<Job*>& tickets) {
-    const auto keep_end = std::remove(tickets.begin(), tickets.end(), job);
-    removed += static_cast<std::size_t>(tickets.end() - keep_end);
-    tickets.erase(keep_end, tickets.end());
-  };
   {
     std::lock_guard<std::mutex> lock(injection_mutex_);
-    strip(injection_);
-  }
-  for (const std::unique_ptr<WorkerQueue>& queue : queues_) {
-    std::lock_guard<std::mutex> lock(queue->mutex);
-    strip(queue->tickets);
+    const auto keep_end = std::remove(injection_.begin(), injection_.end(), job);
+    removed = static_cast<std::size_t>(injection_.end() - keep_end);
+    injection_.erase(keep_end, injection_.end());
   }
   finish(*job, removed);
 }
@@ -217,38 +135,12 @@ void Scheduler::wake_workers() {
   }
 }
 
-bool Scheduler::acquire_ticket(unsigned self, Job*& job, bool& stolen) {
-  stolen = false;
-  const auto pop_own = [&]() {
-    WorkerQueue& queue = *queues_[self];
-    std::lock_guard<std::mutex> lock(queue.mutex);
-    if (queue.tickets.empty()) return false;
-    job = queue.tickets.back();
-    queue.tickets.pop_back();
-    return true;
-  };
-  const auto pop_injected = [&]() {
-    std::lock_guard<std::mutex> lock(injection_mutex_);
-    if (injection_.empty()) return false;
-    job = injection_.front();
-    injection_.pop_front();
-    return true;
-  };
-  const auto steal = [&]() {
-    const std::size_t n = queues_.size();
-    for (std::size_t offset = 1; offset < n; ++offset) {
-      WorkerQueue& queue = *queues_[(self + offset) % n];
-      std::lock_guard<std::mutex> lock(queue.mutex);
-      if (queue.tickets.empty()) continue;
-      job = queue.tickets.front();
-      queue.tickets.pop_front();
-      stolen = true;
-      return true;
-    }
-    return false;
-  };
-  if (steal_first()) return steal() || pop_injected() || pop_own();
-  return pop_own() || pop_injected() || steal();
+bool Scheduler::pop_ticket(Job*& job) {
+  std::lock_guard<std::mutex> lock(injection_mutex_);
+  if (injection_.empty()) return false;
+  job = injection_.front();
+  injection_.pop_front();
+  return true;
 }
 
 void Scheduler::worker_main(unsigned index) {
@@ -256,16 +148,10 @@ void Scheduler::worker_main(unsigned index) {
       1, std::memory_order_relaxed));
   obs::set_trace_thread_name("worker-" + std::to_string(pool_id_) + "." +
                              std::to_string(index));
-  t_worker = WorkerIdentity{this, index};
   for (;;) {
     const std::uint64_t epoch = epoch_.load(std::memory_order_seq_cst);
     Job* job = nullptr;
-    bool stolen = false;
-    if (acquire_ticket(index, job, stolen)) {
-      if (stolen) {
-        static obs::Counter& steals = obs::counter("sched.steals");
-        steals.add();
-      }
+    if (pop_ticket(job)) {
       {
         // One busy span per ticket (not per chunk): bounded event volume
         // even when a job has thousands of fine-grained chunks.
@@ -291,9 +177,14 @@ void Scheduler::run(std::size_t chunks,
                     const std::function<void(std::size_t)>& task) {
   if (chunks == 0) return;
 
-  const bool nested = t_in_task;
-  const int home =
-      t_worker.owner == this ? static_cast<int>(t_worker.index) : -1;
+  if (t_in_task) {
+    // The nesting rule: a construct issued from inside a chunk body runs
+    // inline on its calling thread.
+    static obs::Counter& nested_inline = obs::counter("sched.nested_inline");
+    nested_inline.add(static_cast<std::uint64_t>(chunks));
+    for (std::size_t c = 0; c < chunks; ++c) task(c);
+    return;
+  }
 
   Job job;
   job.task = &task;
@@ -304,18 +195,13 @@ void Scheduler::run(std::size_t chunks,
       std::min<std::size_t>(chunks - 1, workers_.size());
   job.remaining.store(chunks + tickets, std::memory_order_relaxed);
 
-  if (nested) {
-    static obs::Counter& nested_jobs = obs::counter("sched.nested_jobs");
-    nested_jobs.add();
-  } else {
-    static obs::Counter& jobs = obs::counter("sched.jobs");
-    jobs.add();
-    static obs::Histogram& queue_depth = obs::histogram("sched.queue_depth");
-    queue_depth.observe(static_cast<double>(
-        active_jobs_.fetch_add(1, std::memory_order_relaxed) + 1));
-  }
+  static obs::Counter& jobs = obs::counter("sched.jobs");
+  jobs.add();
+  static obs::Histogram& queue_depth = obs::histogram("sched.queue_depth");
+  queue_depth.observe(static_cast<double>(
+      active_jobs_.fetch_add(1, std::memory_order_relaxed) + 1));
 
-  if (tickets > 0) push_tickets(&job, tickets, home);
+  if (tickets > 0) push_tickets(&job, tickets);
 
   // The submitter is one of the job's threads: drain the cursor like any
   // ticket holder would.
@@ -329,7 +215,7 @@ void Scheduler::run(std::size_t chunks,
     std::unique_lock<std::mutex> lock(job.mu);
     job.cv.wait(lock, [&] { return job.done; });
   }
-  if (!nested) active_jobs_.fetch_sub(1, std::memory_order_relaxed);
+  active_jobs_.fetch_sub(1, std::memory_order_relaxed);
   if (job.error) std::rethrow_exception(job.error);
 }
 

@@ -1,63 +1,41 @@
-// Two-level cross-design job scheduler over one shared worker pool.
+// Cross-design job scheduler over one shared worker pool.
 //
-// Level 1 is a global queue of *jobs* — one per top-level submission (a
-// design legalization, a service request, a suite experiment). Level 2 is a
-// set of per-worker deques holding job *tickets*: a ticket invites a worker
-// to join a job and drain chunks from the job's atomic claim cursor. Any
-// number of threads may submit jobs concurrently (the resident service's
-// multi-client case); their component-solve chunks interleave on the same
-// workers, replacing the old single-job ThreadPool::run barrier protocol
-// that aborted on a second concurrent top-level submission.
+// The library parallelizes at one level: the independent units of work —
+// the components of a legalization, the designs of a suite, concurrent
+// client requests. Each top-level submission is a *job*: a fixed number of
+// chunks drained through an atomic claim cursor. The job's *tickets* go on
+// one FIFO injection queue; a ticket invites one worker to join the job and
+// claim chunks until the cursor runs out. Any number of threads may submit
+// jobs concurrently (the resident service's multi-client case); their
+// chunks interleave on the same workers, and a queue of many designs drains
+// fairly, oldest job first. The submitting thread always works on its own
+// job, so a lone submitter still runs on thread_count() threads.
 //
-// Ticket placement is what makes the two levels:
+// Nesting: a run() issued from inside a chunk body — any pool's — executes
+// all of its chunks inline on the calling thread, in chunk order, and adds
+// them to the `sched.nested_inline` counter. The outer level already keeps
+// every thread busy, so the inner construct gets no workers of its own.
+// This is the only nesting rule; parallel_for inherits it.
 //
-//   * top-level submissions from threads outside the pool enqueue tickets
-//     on the global injection queue (FIFO across jobs, so a queue of many
-//     designs drains fairly);
-//   * nested submissions from inside a chunk body push their tickets onto
-//     the submitting worker's own deque — the nested chunks become
-//     *stealable children* instead of silently serializing inline.
+// Determinism contract (see runtime/parallel.h): the chunk *layout* of
+// every job is fixed by the caller and chunk bodies write disjoint state.
+// Chunk *assignment* — which thread claims which chunk — only moves
+// wall-clock time around; no observable result depends on it. A queue of
+// legalization requests is therefore bitwise reproducible per request at
+// any thread count (tests/service/scheduler_determinism_test.cpp).
 //
-// An idle worker pops its own deque first (newest first: children are
-// cache-hot), then the injection queue (oldest job first), then *steals*
-// from the other workers' deques (oldest first: coarse work travels,
-// fine-grained work stays). The submitting thread always participates in
-// its own job, so a lone submitter still runs on thread_count() threads
-// exactly like the old pool.
+// Exceptions thrown by chunk bodies are caught, the first is remembered on
+// the job, the remaining chunks still run, and the stored exception is
+// rethrown on the submitting thread once the job completes. An exception
+// from an inline nested chunk propagates straight out of the nested run()
+// into the enclosing chunk. The scheduler survives throwing jobs.
 //
-// Determinism contract (unchanged from runtime/parallel.h): the chunk
-// *layout* of every job is fixed by the caller, chunk bodies write disjoint
-// state, and reductions fold in chunk-index order on the submitting thread.
-// Chunk *assignment* — which worker claims which chunk, what gets stolen —
-// only ever moves wall-clock time around; no observable result depends on
-// it. A queue of `match`-mode legalization requests is therefore bitwise
-// reproducible per request at any thread count and under any steal
-// schedule (tests/service/scheduler_determinism_test.cpp holds the line).
-//
-// Exceptions thrown by chunk bodies — including stolen ones — are caught,
-// the first is remembered on the job, the remaining chunks still run, and
-// the stored exception is rethrown on the submitting thread once the job
-// completes. The scheduler survives throwing jobs and stays usable.
-//
-// Knobs (process-wide, resolved from the environment at first use,
-// settable by tests):
-//
-//   MCH_SCHED_NESTED=0       nested parallel constructs fall back to the
-//                            legacy inline loop; the chunks that serialize
-//                            this way are counted in the
-//                            `sched.nested_inline` metric so the loss is
-//                            visible in --metrics output.
-//   MCH_SCHED_STEAL_FIRST=1  workers prefer stealing other workers' tickets
-//                            over their own deque — a steal-heavy schedule
-//                            for shaking out order dependence in tests.
-//
-// Metrics: `sched.jobs`, `sched.nested_jobs`, `sched.steals`,
-// `sched.nested_inline` counters and the `sched.queue_depth` histogram
-// (jobs in flight, observed at every top-level submission); workers carry
-// `pool.worker.busy` spans. Worker trace/log identities are pool-scoped
-// unique ("worker-<pool>.<index>", globally unique log ids), so processes
-// holding several pools — the global Runtime's plus ad-hoc test pools —
-// never alias worker names.
+// Metrics: the `sched.jobs` and `sched.nested_inline` counters and the
+// `sched.queue_depth` histogram (jobs in flight, observed at every
+// top-level submission); workers carry `pool.worker.busy` spans. Worker
+// trace/log identities are pool-scoped unique ("worker-<pool>.<index>",
+// globally unique log ids), so processes holding several pools — the
+// global Runtime's plus ad-hoc test pools — never alias worker names.
 #pragma once
 
 #include <atomic>
@@ -65,9 +43,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -98,54 +74,17 @@ class Scheduler {
 
   /// Runs task(c) for every c in [0, chunks) and blocks until every chunk
   /// has finished. Safe to call from any number of threads concurrently
-  /// (each call is one job) and from inside a chunk body (the nested job's
-  /// chunks become stealable children of the calling worker). Rethrows the
-  /// first exception thrown by any chunk, wherever it ran.
+  /// (each call is one job). Called from inside a chunk body it runs the
+  /// chunks inline (see the nesting rule above). Rethrows the first
+  /// exception thrown by any chunk, wherever it ran.
   void run(std::size_t chunks, const std::function<void(std::size_t)>& task);
-
-  /// True while the calling thread is executing a chunk body (worker or
-  /// submitter helping out). parallel.h uses this to decide between a
-  /// nested job and the inline fallback.
-  static bool in_task();
-
-  /// The calling thread's worker index within `this` pool, or -1 when the
-  /// thread is not one of this scheduler's workers (external submitters,
-  /// other pools' workers). Nested submissions from a worker land on that
-  /// worker's own deque; tests use this to pin work onto a worker.
-  int current_worker_index() const;
-
-  /// Nested-scheduling knob; default from MCH_SCHED_NESTED (on unless "0").
-  static bool nested_scheduling_enabled();
-  static void set_nested_scheduling(bool enabled);
-
-  /// Steal-heavy schedule knob; default from MCH_SCHED_STEAL_FIRST.
-  static bool steal_first();
-  static void set_steal_first(bool enabled);
-
-  /// Forgets every set_* override so the next query re-resolves from the
-  /// environment; test teardowns call this instead of guessing defaults
-  /// (sanitizer jobs sweep MCH_SCHED_* across whole test binaries).
-  static void reset_knobs();
-
-  /// Accounts `chunks` chunks of a nested parallel construct that ran
-  /// inline on the calling thread (`sched.nested_inline`), so remaining
-  /// serialization shows up in metrics output.
-  static void note_nested_inline(std::size_t chunks);
 
  private:
   struct Job;
 
-  /// One worker's ticket deque. Own pops take the back (newest: nested
-  /// children), steals take the front (oldest: coarse top-level work).
-  struct WorkerQueue {
-    std::mutex mutex;
-    std::deque<Job*> tickets;
-  };
-
   void worker_main(unsigned index);
-  /// Pops a ticket for worker `self` honoring the steal policy. `stolen`
-  /// reports a take from another worker's deque.
-  bool acquire_ticket(unsigned self, Job*& job, bool& stolen);
+  /// Pops the oldest ticket off the injection queue.
+  bool pop_ticket(Job*& job);
   /// Claims and executes chunks of `job` until its cursor is exhausted;
   /// returns how many chunks this thread executed.
   std::size_t drain(Job& job);
@@ -153,10 +92,7 @@ class Scheduler {
   /// Decrements the job's remaining count by `n`; the unique thread that
   /// zeroes it marks the job done and notifies the submitter.
   static void finish(Job& job, std::size_t n);
-  /// Distributes `count` tickets: onto worker `home`'s deque when the
-  /// submitter is one of this pool's workers (nested children), onto the
-  /// global injection queue otherwise.
-  void push_tickets(Job* job, std::size_t count, int home);
+  void push_tickets(Job* job, std::size_t count);
   /// Removes every not-yet-claimed ticket of `job` after its cursor
   /// drained, so a completed job never leaves dangling tickets behind.
   void cancel_tickets(Job* job);
@@ -164,9 +100,8 @@ class Scheduler {
 
   const unsigned pool_id_;
   std::vector<std::thread> workers_;
-  std::vector<std::unique_ptr<WorkerQueue>> queues_;  ///< one per worker
 
-  /// Level 1: tickets of jobs submitted from outside the pool.
+  /// Tickets of every job in flight, oldest job first.
   std::mutex injection_mutex_;
   std::deque<Job*> injection_;
 
@@ -180,7 +115,7 @@ class Scheduler {
   std::atomic<int> sleepers_{0};
   bool shutdown_ = false;  ///< guarded by sleep_mutex_
 
-  /// Jobs in flight (top-level submissions), for sched.queue_depth.
+  /// Jobs in flight, for sched.queue_depth.
   std::atomic<std::size_t> active_jobs_{0};
 };
 

@@ -1,6 +1,6 @@
-// parallel_reduce determinism: bitwise-identical results at every thread
-// count, ordered combination, and agreement of the linalg vector kernels
-// with straight serial loops.
+// parallel_for's fixed chunk layout, dot's fixed summation order, and
+// agreement of the linalg vector kernels with straight serial loops at
+// every thread count.
 #include "runtime/parallel.h"
 
 #include <gtest/gtest.h>
@@ -29,80 +29,43 @@ linalg::Vector random_vector(std::size_t n, std::uint64_t seed) {
   return v;
 }
 
-double reduce_sum(const linalg::Vector& v, std::size_t grain) {
-  return parallel_reduce(
-      std::size_t{0}, v.size(), grain, 0.0,
-      [&](std::size_t lo, std::size_t hi) {
-        double s = 0.0;
-        for (std::size_t i = lo; i < hi; ++i) s += v[i];
-        return s;
-      },
-      [](double a, double b) { return a + b; });
-}
-
-class ParallelReduceTest : public ::testing::Test {
+class ParallelForTest : public ::testing::Test {
  protected:
   void TearDown() override { Runtime::configure(1); }
 };
 
-TEST_F(ParallelReduceTest, SumBitwiseIdenticalAcrossThreadCounts) {
-  const linalg::Vector v = random_vector(100003, 42);
-  Runtime::configure(1);
-  const double serial = reduce_sum(v, 1000);
-  for (const unsigned threads : {2u, 4u, 8u}) {
-    Runtime::configure(threads);
-    for (int repeat = 0; repeat < 3; ++repeat) {
-      const double parallel = reduce_sum(v, 1000);
-      ASSERT_EQ(parallel, serial)  // bitwise, not almost-equal
-          << "threads=" << threads << " repeat=" << repeat;
-    }
-  }
-  // And the chunked sum is still numerically the plain sum.
-  double straight = 0.0;
-  for (const double x : v) straight += x;
-  EXPECT_NEAR(serial, straight, 1e-9 * v.size());
-}
-
-TEST_F(ParallelReduceTest, MaxReduceMatchesSerialExactly) {
-  const linalg::Vector v = random_vector(54321, 7);
-  const double expected = *std::max_element(v.begin(), v.end());
+// The chunk layout is a function of (n, grain) alone: chunk c covers
+// [begin + c·grain, min(begin + (c+1)·grain, end)) at every thread count.
+TEST_F(ParallelForTest, ChunkLayoutIsFixed) {
+  constexpr std::size_t kBegin = 5, kEnd = 1005, kGrain = 32;
+  const std::size_t chunks = chunk_count(kEnd - kBegin, kGrain);
   for (const unsigned threads : {1u, 4u}) {
     Runtime::configure(threads);
-    const double maxed = parallel_reduce(
-        std::size_t{0}, v.size(), 512, v[0],
-        [&](std::size_t lo, std::size_t hi) {
-          double m = v[lo];
-          for (std::size_t i = lo; i < hi; ++i) m = std::max(m, v[i]);
-          return m;
-        },
-        [](double a, double b) { return std::max(a, b); });
-    EXPECT_EQ(maxed, expected) << "threads=" << threads;
+    std::vector<std::size_t> lows(chunks, 0), highs(chunks, 0);
+    parallel_for(kBegin, kEnd, kGrain, [&](std::size_t lo, std::size_t hi) {
+      const std::size_t c = (lo - kBegin) / kGrain;
+      lows[c] = lo;
+      highs[c] = hi;
+    });
+    for (std::size_t c = 0; c < chunks; ++c) {
+      EXPECT_EQ(lows[c], kBegin + c * kGrain) << "threads=" << threads;
+      EXPECT_EQ(highs[c], std::min(kBegin + (c + 1) * kGrain, kEnd))
+          << "threads=" << threads;
+    }
   }
 }
 
-TEST_F(ParallelReduceTest, CombineFoldsInChunkOrder) {
+TEST_F(ParallelForTest, EmptyRangesAreNoOps) {
   Runtime::configure(4);
-  using Trace = std::vector<std::size_t>;
-  const Trace order = parallel_reduce(
-      std::size_t{0}, std::size_t{1000}, 32, Trace{},
-      [](std::size_t lo, std::size_t) { return Trace{lo}; },
-      [](Trace acc, const Trace& chunk) {
-        acc.insert(acc.end(), chunk.begin(), chunk.end());
-        return acc;
-      });
-  ASSERT_EQ(order.size(), chunk_count(1000, 32));
-  for (std::size_t c = 0; c < order.size(); ++c)
-    EXPECT_EQ(order[c], c * 32);  // ascending chunk starts, no interleaving
-}
-
-TEST_F(ParallelReduceTest, EmptyRangeReturnsIdentity) {
-  Runtime::configure(4);
-  EXPECT_EQ(reduce_sum({}, 64), 0.0);
-  const double sentinel = parallel_reduce(
-      std::size_t{5}, std::size_t{5}, 8, -1.5,
-      [](std::size_t, std::size_t) { return 99.0; },
-      [](double a, double b) { return a + b; });
-  EXPECT_EQ(sentinel, -1.5);
+  int calls = 0;
+  parallel_for(std::size_t{5}, std::size_t{5}, 8,
+               [&](std::size_t, std::size_t) { ++calls; });
+  parallel_for(std::size_t{9}, std::size_t{5}, 8,
+               [&](std::size_t, std::size_t) { ++calls; });
+  EXPECT_EQ(calls, 0);
+  EXPECT_EQ(linalg::dot({}, {}), 0.0);
+  EXPECT_EQ(linalg::norm2({}), 0.0);
+  EXPECT_EQ(linalg::norm_inf({}), 0.0);
 }
 
 class VectorOpsParallelTest : public ::testing::Test {
@@ -122,6 +85,23 @@ TEST_F(VectorOpsParallelTest, DotBitwiseIdenticalAcrossThreadCounts) {
   double straight = 0.0;
   for (std::size_t i = 0; i < a.size(); ++i) straight += a[i] * b[i];
   EXPECT_NEAR(serial, straight, 1e-9 * a.size());
+}
+
+// dot sums fixed 4096-element blocks and folds the block sums left to
+// right; the committed results (θ re-probes by power iteration over whole
+// designs among them) depend on exactly this rounding.
+TEST_F(VectorOpsParallelTest, DotSumsFixedBlocksLeftToRight) {
+  const linalg::Vector a = random_vector(3 * 4096 + 17, 21);
+  const linalg::Vector b = random_vector(3 * 4096 + 17, 22);
+  double blocked = 0.0;
+  for (std::size_t lo = 0; lo < a.size(); lo += 4096) {
+    double sum = 0.0;
+    for (std::size_t i = lo; i < std::min(lo + 4096, a.size()); ++i)
+      sum += a[i] * b[i];
+    blocked += sum;
+  }
+  EXPECT_EQ(linalg::dot(a, b), blocked);  // bitwise
+  EXPECT_EQ(linalg::norm2(a), std::sqrt(linalg::dot(a, a)));
 }
 
 TEST_F(VectorOpsParallelTest, NormsBitwiseIdenticalAcrossThreadCounts) {

@@ -1,8 +1,8 @@
 // Scheduler mechanics: exact chunk coverage under adversarial grains,
 // concurrent top-level submissions (the multi-client regression), nested
-// parallel_for as stealable children with the inline-fallback metric,
-// exception propagation — including from a stolen task — pool-scoped
-// worker identities, and clean reconfiguration/shutdown cycles.
+// parallel_for running inline on the submitting thread with its chunks
+// counted, exception propagation — including from a nested chunk —
+// pool-scoped worker identities, and clean reconfiguration/shutdown cycles.
 #include "runtime/scheduler.h"
 
 #include <gtest/gtest.h>
@@ -23,15 +23,11 @@
 namespace mch::runtime {
 namespace {
 
-/// Every test leaves the global Runtime serial and the scheduler knobs
-/// re-armed from the environment, so suites sharing the binary start from
-/// a known state and MCH_SCHED_* sweeps apply to the whole binary.
+/// Every test leaves the global Runtime serial, so suites sharing the
+/// binary start from a known state.
 class RuntimeTest : public ::testing::Test {
  protected:
-  void TearDown() override {
-    Runtime::configure(1);
-    Scheduler::reset_knobs();
-  }
+  void TearDown() override { Runtime::configure(1); }
 };
 
 TEST_F(RuntimeTest, ChunkCount) {
@@ -124,66 +120,38 @@ TEST_F(RuntimeTest, ConcurrentTopLevelSubmissionsInterleave) {
           << "client " << client << " index " << i;
 }
 
-// Nested parallel_for no longer serializes inline: the inner construct is
-// a nested job whose chunks are stealable children, still covering every
-// index exactly once, and the in_task flag survives the nesting.
-TEST_F(RuntimeTest, NestedParallelForSchedulesStealableChildren) {
+// A nested parallel_for runs inline: every inner chunk executes on the
+// thread that runs the enclosing outer chunk, each index exactly once, and
+// the inner chunks are counted in sched.nested_inline.
+TEST_F(RuntimeTest, NestedParallelForRunsInlineOnSubmittingThread) {
   Runtime::configure(4);
-  Scheduler::set_nested_scheduling(true);
-  EXPECT_FALSE(Scheduler::in_task());
-  constexpr std::size_t kOuter = 8, kInner = 100;
-  std::vector<std::vector<int>> hits(kOuter,
-                                     std::vector<int>(kInner, 0));
-  std::atomic<int> nested_in_task{0};
-  const std::uint64_t nested_jobs_before =
-      obs::counter("sched.nested_jobs").value();
-  parallel_for(std::size_t{0}, kOuter, 1,
-               [&](std::size_t lo, std::size_t hi) {
-                 for (std::size_t o = lo; o < hi; ++o) {
-                   if (Scheduler::in_task()) ++nested_in_task;
-                   parallel_for(std::size_t{0}, kInner, 10,
-                                [&, o](std::size_t ilo, std::size_t ihi) {
-                                  EXPECT_TRUE(Scheduler::in_task());
-                                  for (std::size_t i = ilo; i < ihi; ++i)
-                                    ++hits[o][i];
-                                });
-                   // The outer body is still inside its chunk after the
-                   // nested job completed (the in-task flag is restored,
-                   // not cleared).
-                   EXPECT_TRUE(Scheduler::in_task());
-                 }
-               });
-  EXPECT_EQ(nested_in_task.load(), static_cast<int>(kOuter));
-  for (std::size_t o = 0; o < kOuter; ++o)
-    for (std::size_t i = 0; i < kInner; ++i)
-      ASSERT_EQ(hits[o][i], 1) << "outer " << o << " inner " << i;
-  EXPECT_FALSE(Scheduler::in_task());
-  EXPECT_EQ(obs::counter("sched.nested_jobs").value() - nested_jobs_before,
-            static_cast<std::uint64_t>(kOuter));
-}
-
-// With MCH_SCHED_NESTED=0 the legacy inline fallback runs — and every
-// chunk it serializes is accounted in sched.nested_inline.
-TEST_F(RuntimeTest, NestedInlineFallbackIsCounted) {
-  Runtime::configure(4);
-  Scheduler::set_nested_scheduling(false);
-  constexpr std::size_t kOuter = 4, kInner = 40, kGrain = 10;
-  std::vector<std::vector<int>> hits(kOuter,
-                                     std::vector<int>(kInner, 0));
+  constexpr std::size_t kOuter = 8, kInner = 100, kGrain = 10;
+  std::vector<std::vector<int>> hits(kOuter, std::vector<int>(kInner, 0));
+  std::vector<std::thread::id> outer_thread(kOuter);
+  std::vector<std::vector<std::thread::id>> inner_thread(
+      kOuter, std::vector<std::thread::id>(chunk_count(kInner, kGrain)));
   const std::uint64_t inline_before =
       obs::counter("sched.nested_inline").value();
   parallel_for(std::size_t{0}, kOuter, 1,
                [&](std::size_t lo, std::size_t hi) {
-                 for (std::size_t o = lo; o < hi; ++o)
+                 for (std::size_t o = lo; o < hi; ++o) {
+                   outer_thread[o] = std::this_thread::get_id();
                    parallel_for(std::size_t{0}, kInner, kGrain,
                                 [&, o](std::size_t ilo, std::size_t ihi) {
+                                  inner_thread[o][ilo / kGrain] =
+                                      std::this_thread::get_id();
                                   for (std::size_t i = ilo; i < ihi; ++i)
                                     ++hits[o][i];
                                 });
+                 }
                });
-  for (std::size_t o = 0; o < kOuter; ++o)
+  for (std::size_t o = 0; o < kOuter; ++o) {
+    for (std::size_t c = 0; c < inner_thread[o].size(); ++c)
+      EXPECT_EQ(inner_thread[o][c], outer_thread[o])
+          << "outer " << o << " inner chunk " << c;
     for (std::size_t i = 0; i < kInner; ++i)
       ASSERT_EQ(hits[o][i], 1) << "outer " << o << " inner " << i;
+  }
   EXPECT_EQ(obs::counter("sched.nested_inline").value() - inline_before,
             kOuter * chunk_count(kInner, kGrain));
 }
@@ -209,57 +177,37 @@ TEST_F(RuntimeTest, ExceptionPropagatesAndPoolSurvives) {
   }
 }
 
-// Exception propagation from a *stolen* task: a worker submits a nested
-// job and blocks inside its first chunk until the remaining nested chunks
-// have run. Those chunks sit on the worker's own deque, so they can only
-// execute by being stolen — one of them throws, and the error must travel
-// stolen chunk -> nested submitter -> outer job -> outer submitter.
-TEST_F(RuntimeTest, ExceptionPropagatesFromStolenTask) {
+// Exception propagation from a nested chunk: the inner construct runs
+// inline inside an outer chunk, one inner chunk throws, and the error must
+// travel nested chunk -> outer chunk -> outer job -> top-level caller. The
+// pool must stay usable afterwards.
+TEST_F(RuntimeTest, ExceptionPropagatesFromNestedChunk) {
   Runtime::configure(4);
-  Scheduler* sched = Runtime::instance().scheduler();
-  ASSERT_NE(sched, nullptr);
-  std::atomic<bool> ran_nested{false};
-  bool threw = false;
-  const std::uint64_t steals_before = obs::counter("sched.steals").value();
-  std::atomic<int> inside{0};
-  std::atomic<bool> claimed{false};
-  std::atomic<int> others_done{0};
-  try {
-    // Two outer chunks with a rendezvous: the submitter can hold only one
-    // at a time, so the other is guaranteed to run on a pool worker — no
-    // matter how a single-core machine schedules the wakeups.
-    parallel_for(std::size_t{0}, std::size_t{2}, 1,
-                 [&](std::size_t, std::size_t) {
-                   inside.fetch_add(1);
-                   while (inside.load() < 2) std::this_thread::yield();
-                   // Only a pool worker's nested children land on a worker
-                   // deque (an external submitter's go to the injection
-                   // queue), so only a worker stages the bait.
-                   if (sched->current_worker_index() < 0) return;
-                   if (claimed.exchange(true)) return;
-                   ran_nested.store(true);
-                   parallel_for(
-                       std::size_t{0}, std::size_t{4}, 1,
-                       [&](std::size_t lo, std::size_t) {
-                         if (lo == 0) {
-                           // Pin the nested submitter here until the
-                           // other chunks ran elsewhere (stolen).
-                           while (others_done.load() < 3)
-                             std::this_thread::yield();
-                           return;
-                         }
-                         others_done.fetch_add(1);
-                         if (lo == 1)
-                           throw std::runtime_error("stolen chunk");
-                       });
+  for (int round = 0; round < 3; ++round) {
+    bool threw = false;
+    try {
+      parallel_for(std::size_t{0}, std::size_t{8}, 1,
+                   [&](std::size_t lo, std::size_t) {
+                     parallel_for(std::size_t{0}, std::size_t{4}, 1,
+                                  [&](std::size_t ilo, std::size_t) {
+                                    if (lo == 5 && ilo == 2)
+                                      throw std::runtime_error(
+                                          "nested chunk");
+                                  });
+                   });
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "nested chunk");
+      threw = true;
+    }
+    EXPECT_TRUE(threw);
+    std::vector<int> counts(1000, 0);
+    parallel_for(std::size_t{0}, counts.size(), 64,
+                 [&](std::size_t lo, std::size_t hi) {
+                   for (std::size_t i = lo; i < hi; ++i) ++counts[i];
                  });
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "stolen chunk");
-    threw = true;
+    for (std::size_t i = 0; i < counts.size(); ++i)
+      ASSERT_EQ(counts[i], 1);
   }
-  ASSERT_TRUE(ran_nested.load()) << "no outer chunk ever ran on a worker";
-  EXPECT_TRUE(threw);
-  EXPECT_GT(obs::counter("sched.steals").value(), steals_before);
 }
 
 TEST_F(RuntimeTest, SchedulerRunExecutesEveryChunkOnceAndIsReusable) {
@@ -313,15 +261,14 @@ TEST_F(RuntimeTest, ReconfigureCyclesShutDownCleanly) {
     Runtime::configure(threads);
     EXPECT_EQ(Runtime::instance().threads(), threads);
     EXPECT_EQ(Runtime::instance().scheduler() == nullptr, threads == 1);
-    long sum = parallel_reduce(
-        std::size_t{0}, std::size_t{1000}, 16, 0L,
-        [](std::size_t lo, std::size_t hi) {
-          long s = 0;
-          for (std::size_t i = lo; i < hi; ++i) s += static_cast<long>(i);
-          return s;
-        },
-        [](long a, long b) { return a + b; });
-    EXPECT_EQ(sum, 999L * 1000L / 2);
+    std::vector<long> partials(chunk_count(1000, 16), 0);
+    parallel_for(std::size_t{0}, std::size_t{1000}, 16,
+                 [&](std::size_t lo, std::size_t hi) {
+                   for (std::size_t i = lo; i < hi; ++i)
+                     partials[lo / 16] += static_cast<long>(i);
+                 });
+    EXPECT_EQ(std::accumulate(partials.begin(), partials.end(), 0L),
+              999L * 1000L / 2);
   }
 }
 

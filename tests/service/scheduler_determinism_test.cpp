@@ -1,11 +1,12 @@
 // Scheduler determinism across designs: the same queue of mixed-size
 // match-mode requests must produce bitwise-identical positions per request
-// at 1/4/16 threads, under forced steal-heavy scheduling, and when the
-// requests are submitted by concurrent clients sharing the worker pool.
+// at 1/4/16 threads, when the requests are submitted by concurrent clients
+// sharing the worker pool, and when one pool-level parallel_for fans the
+// requests out so each design's component loop nests (and runs inline).
 // Tiered requests (the per-component production driver) carry the same
 // schedule-independence against their own 1-thread answer.
-// Work stealing and cross-job interleaving may only move wall-clock time
-// around — never results (the contract documented in runtime/scheduler.h).
+// Cross-job interleaving may only move wall-clock time around — never
+// results (the contract documented in runtime/scheduler.h).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,8 +17,8 @@
 #include "db/design.h"
 #include "gen/generator.h"
 #include "legal/flow.h"
+#include "runtime/parallel.h"
 #include "runtime/runtime.h"
-#include "runtime/scheduler.h"
 #include "service/session.h"
 
 namespace mch::service {
@@ -88,6 +89,20 @@ Positions serve_one_tiered(const RequestSpec& spec) {
   return snapshot(session.design());
 }
 
+/// Serves every request of the mix through one pool-level parallel_for, one
+/// request per chunk: each design's legalize runs inside a chunk, so its
+/// component loop is a nested construct and runs inline on that thread.
+template <typename Serve>
+std::vector<Positions> serve_fanned_out(Serve serve) {
+  std::vector<Positions> got(request_mix().size());
+  runtime::parallel_for(std::size_t{0}, got.size(), 1,
+                        [&](std::size_t lo, std::size_t hi) {
+                          for (std::size_t r = lo; r < hi; ++r)
+                            got[r] = serve(request_mix()[r]);
+                        });
+  return got;
+}
+
 /// Serves every request of the mix from `kClients` threads at once: client
 /// c takes requests c, c+kClients, ..., so all clients overlap on the
 /// shared workers.
@@ -134,10 +149,7 @@ class SchedulerDeterminismTest : public ::testing::Test {
     reference_ = reference;
   }
 
-  void TearDown() override {
-    runtime::Runtime::configure(1);
-    runtime::Scheduler::reset_knobs();
-  }
+  void TearDown() override { runtime::Runtime::configure(1); }
 
   std::vector<Positions> reference_;
 };
@@ -152,15 +164,6 @@ TEST_F(SchedulerDeterminismTest, QueueBitwiseStableAcrossThreadCounts) {
   }
 }
 
-TEST_F(SchedulerDeterminismTest, QueueBitwiseStableUnderStealHeavySchedule) {
-  runtime::Runtime::configure(4);
-  runtime::Scheduler::set_steal_first(true);
-  for (std::size_t r = 0; r < request_mix().size(); ++r) {
-    const Positions got = serve_one(request_mix()[r]);
-    expect_bitwise_equal(got, reference_[r], "steal-first", r);
-  }
-}
-
 // The multi-client case: several threads submit their requests at once, so
 // component solves from different designs interleave on the shared workers
 // (the exact situation the old pool aborted on). Every client must still
@@ -170,6 +173,15 @@ TEST_F(SchedulerDeterminismTest, ConcurrentClientsBitwiseStable) {
   const std::vector<Positions> got = serve_concurrently(serve_one);
   for (std::size_t r = 0; r < got.size(); ++r)
     expect_bitwise_equal(got[r], reference_[r], "concurrent", r);
+}
+
+TEST_F(SchedulerDeterminismTest, NestedFanOutBitwiseStable) {
+  for (const unsigned threads : {1u, 4u, 16u}) {
+    runtime::Runtime::configure(threads);
+    const std::vector<Positions> got = serve_fanned_out(serve_one);
+    for (std::size_t r = 0; r < got.size(); ++r)
+      expect_bitwise_equal(got[r], reference_[r], "fan-out", r);
+  }
 }
 
 /// The tiered reference: the same session path, served serially at one
@@ -202,6 +214,16 @@ TEST_F(SchedulerDeterminismTest, TieredConcurrentClientsBitwiseStable) {
   const std::vector<Positions> got = serve_concurrently(serve_one_tiered);
   for (std::size_t r = 0; r < got.size(); ++r)
     expect_bitwise_equal(got[r], reference[r], "tiered concurrent", r);
+}
+
+TEST_F(SchedulerDeterminismTest, TieredNestedFanOutBitwiseStable) {
+  const std::vector<Positions>& reference = tiered_reference();
+  for (const unsigned threads : {1u, 4u, 16u}) {
+    runtime::Runtime::configure(threads);
+    const std::vector<Positions> got = serve_fanned_out(serve_one_tiered);
+    for (std::size_t r = 0; r < got.size(); ++r)
+      expect_bitwise_equal(got[r], reference[r], "tiered fan-out", r);
+  }
 }
 
 }  // namespace

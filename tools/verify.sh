@@ -6,9 +6,9 @@
 # solver/legalizer/session suites (the workspace arena hands slot
 # references to parallel workers — ASan is what would catch a stale one), a
 # UBSan job over the SIMD kernel suites, and a ThreadSanitizer job
-# over the work-stealing scheduler (concurrent submitters, stolen tickets,
-# the sleep/wake Dekker protocol — TSan is what would catch a misordered
-# wake or a job freed under a late steal).
+# over the job scheduler (concurrent submitters, ticket retirement, the
+# sleep/wake Dekker protocol — TSan is what would catch a misordered wake
+# or a job freed under a late ticket holder).
 #
 #   tools/verify.sh            # full: Release + ctest + ASan + UBSan + TSan
 #   tools/verify.sh --fast     # skip the sanitizer jobs
@@ -105,12 +105,12 @@ done
 
 if [[ "$FAST" == 0 ]]; then
   echo "== tsan: build scheduler/service suites =="
-  # The scheduler's whole job is cross-thread: per-worker deques, stolen
-  # tickets, the combined remaining-counter retirement, the epoch/sleepers
-  # Dekker handshake. TSan over the scheduler suite (which includes the
+  # The scheduler's whole job is cross-thread: the shared ticket queue,
+  # the combined remaining-counter retirement, the epoch/sleepers Dekker
+  # handshake. TSan over the scheduler suite (which includes the
   # concurrent-submission regression for the old pool's abort) and the
-  # concurrent-clients determinism test is the check that those protocols
-  # are data-race-free, not merely lucky.
+  # concurrent-client and nested fan-out determinism tests is the check
+  # that those protocols are data-race-free, not merely lucky.
   cmake -B build-tsan -S . -DMCH_ENABLE_TSAN=ON \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
   TSAN_TARGETS=(runtime_scheduler_test service_scheduler_determinism_test)
@@ -118,17 +118,16 @@ if [[ "$FAST" == 0 ]]; then
     cmake --build build-tsan -j4 --target "$t"
   done
 
-  echo "== tsan: run (4-thread pool, plus steal-first) =="
+  echo "== tsan: run (4-thread pool) =="
   sched_bin="$(find build-tsan/tests -name runtime_scheduler_test -type f | head -1)"
   MCH_THREADS=4 "$sched_bin" --gtest_brief=1
-  MCH_THREADS=4 MCH_SCHED_STEAL_FIRST=1 "$sched_bin" --gtest_brief=1
   det_bin="$(find build-tsan/tests -name service_scheduler_determinism_test -type f | head -1)"
-  # The concurrent-clients cases only (match and tiered) — the full
-  # determinism matrix already runs in the tier-1 and MT4 ctest jobs, and
-  # TSan's value here is the overlap of distinct sessions on shared
-  # workers, not the thread sweep.
+  # The concurrent-clients and nested fan-out cases only (match and
+  # tiered) — the thread-count sweep already runs in the tier-1 and MT4
+  # ctest jobs, and TSan's value here is distinct sessions overlapping on
+  # shared workers, with or without a pool-level loop around them.
   MCH_THREADS=4 "$det_bin" --gtest_brief=1 \
-    --gtest_filter='*ConcurrentClientsBitwiseStable*'
+    --gtest_filter='*ConcurrentClientsBitwiseStable*:*NestedFanOutBitwiseStable*'
 
   echo "== asan: build solver/legalizer suites =="
   cmake -B build-asan -S . -DMCH_ENABLE_ASAN=ON \
