@@ -189,7 +189,7 @@ class MmsimSolver {
   MmsimResult solve_in(State& state, const Vector* s0 = nullptr) const;
 
   /// solve_in() plus the exact active-set finisher — the production
-  /// component path (lcp::make_lcp_solver), not Algorithm 1. Every 32
+  /// component path (lcp::solve_mmsim), not Algorithm 1. Every 32
   /// iterations it snapshots the 3-class sign pattern of s (+1: s > ε,
   /// −1: s < −ε, 0 otherwise, ε = 1e-6); when a snapshot repeats the
   /// previous one it solves the equality-constrained QP that pattern
@@ -231,9 +231,9 @@ class MmsimSolver {
   /// tridiagonal approximation D the admissible range is empirically
   /// narrower (see bench/ablation_parameters), so the suggestion is
   /// additionally capped at the paper's validated 0.5 — the probe exists to
-  /// *shrink* θ* on unusual instances (the escalated recovery rung's
-  /// reprobe_theta), never to enlarge it. Returns options.theta unchanged
-  /// when m = 0.
+  /// *shrink* θ* on unusual instances (the escalated recovery retries, see
+  /// lcp::escalate_mmsim_options), never to enlarge it. Returns
+  /// options.theta unchanged when m = 0.
   double suggest_theta() const;
 
   /// μ_max estimate of Γ = D⁻¹ B K⁻¹ Bᵀ (power iteration).

@@ -8,23 +8,14 @@
 namespace mch::lcp {
 
 PsorResult solve_psor(const DenseLcp& problem, const PsorOptions& options) {
-  PsorResult result;
-  const PsorRunStats stats = solve_psor_in(problem, options, result.z);
-  result.iterations = stats.iterations;
-  result.converged = stats.converged;
-  return result;
-}
-
-PsorRunStats solve_psor_in(const DenseLcp& problem, const PsorOptions& options,
-                           Vector& z, bool warm_start) {
   const std::size_t n = problem.size();
   MCH_CHECK(options.omega > 0.0 && options.omega < 2.0);
   for (std::size_t i = 0; i < n; ++i)
     MCH_CHECK_MSG(problem.A(i, i) > 0.0, "PSOR needs a positive diagonal");
 
-  if (!(warm_start && z.size() == n)) z.assign(n, 0.0);
-
-  PsorRunStats stats;
+  PsorResult result;
+  Vector& z = result.z;
+  z.assign(n, 0.0);
   for (std::size_t k = 0; k < options.max_iterations; ++k) {
     double delta = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
@@ -35,13 +26,13 @@ PsorRunStats solve_psor_in(const DenseLcp& problem, const PsorOptions& options,
       delta = std::max(delta, std::abs(updated - z[i]));
       z[i] = updated;
     }
-    stats.iterations = k + 1;
+    result.iterations = k + 1;
     if (delta < options.tolerance) {
-      stats.converged = true;
+      result.converged = true;
       break;
     }
   }
-  return stats;
+  return result;
 }
 
 }  // namespace mch::lcp

@@ -33,20 +33,4 @@ struct PsorResult {
 /// Solves LCP(q, A) by PSOR. Requires A(i,i) > 0 for all i.
 PsorResult solve_psor(const DenseLcp& problem, const PsorOptions& options = {});
 
-/// Iteration count + convergence flag of an in-place PSOR run (the iterate
-/// itself lives in the caller's buffer).
-struct PsorRunStats {
-  std::size_t iterations = 0;
-  bool converged = false;
-};
-
-/// As solve_psor(), but iterates in the caller-owned buffer `z`, reusing its
-/// capacity across solves (a SolverWorkspace slot keeps one alive). When
-/// `warm_start` is true and `z` already has the problem's size, iteration
-/// starts from its contents instead of zero — PSOR on an SPD matrix
-/// converges from any start, so a warm start only changes the iteration
-/// count, never the fixed point. The solution is left in `z`.
-PsorRunStats solve_psor_in(const DenseLcp& problem, const PsorOptions& options,
-                           Vector& z, bool warm_start = false);
-
 }  // namespace mch::lcp

@@ -225,32 +225,21 @@ SolveOutcome solve_lockstep(const LegalizationModel& model,
   return outcome;
 }
 
-lcp::LcpSolverKind pick_solver(std::size_t num_variables,
-                               std::size_t num_constraints,
-                               const SolverPolicy& policy) {
-  const std::size_t size = num_variables + num_constraints;
-  if (policy.psor_for_unconstrained && num_constraints == 0)
-    return lcp::LcpSolverKind::kPsor;
-  if (policy.lemke_max_size > 0 && size <= policy.lemke_max_size)
-    return lcp::LcpSolverKind::kLemke;
-  return lcp::LcpSolverKind::kMmsim;
-}
-
 /// Runs solve_components over every component of the partition, each job
 /// backed by the workspace slot of its component id. Two callers:
 ///
 ///   * the tiered pass (PartitionMode::kTiered) and its escalated retry,
-///     with the ladder off: every component gets the solver its size calls
-///     for and terminates on its own. run_mode has already consumed the
-///     forced failures, and a failed pass is answered by the escalated
-///     retry or the rungs below, so stats.recovery stays untouched. The
-///     per-pass counters are overwritten (a retry does not double-count)
-///     and include the iterations of the components that failed the pass;
+///     with the ladder off: every component terminates on its own.
+///     run_mode has already consumed the forced failures, and a failed
+///     pass is answered by the escalated retry or the rungs below, so
+///     stats.recovery stays untouched. The per-pass counters are
+///     overwritten (a retry does not double-count) and include the
+///     iterations of the components that failed the pass;
 ///   * rungs 2+ of the escalation ladder, with the real ladder: components
-///     that already converge pass straight through their primary solver,
-///     failing ones walk escalated MMSIM → cold-restart MMSIM → PSOR →
-///     Lemke, and exhausted ones degrade to snap clamps recorded as
-///     SolveFailures — never an unconverged iterate.
+///     that already converge pass straight through their primary solve,
+///     failing ones walk escalated → cold-restart MMSIM, and exhausted ones
+///     degrade to snap clamps recorded as SolveFailures — never an
+///     unconverged iterate.
 SolveOutcome solve_every_component(const db::Design& design,
                                    const LegalizationModel& model,
                                    const ConstraintPartition& partition,
@@ -278,8 +267,6 @@ SolveOutcome solve_every_component(const db::Design& design,
 
   if (!ladder.enabled) {
     stats.components_mmsim = report.components_mmsim;
-    stats.components_psor = report.components_psor;
-    stats.components_lemke = report.components_lemke;
     stats.component_iterations = report.component_iterations;
     for (const SolveFailure& failure : report.recovery.failures) {
       outcome.iterations = std::max(outcome.iterations, failure.iterations);
@@ -326,7 +313,6 @@ ComponentSolveReport solve_components(const db::Design& design,
     return a < b;
   });
 
-  std::vector<lcp::LcpSolverKind> kinds(num);
   std::vector<lcp::RecoveredSolve> recovered(num);
   staged_component_loop(
       num,
@@ -342,29 +328,23 @@ ComponentSolveReport solve_components(const db::Design& design,
       [&](std::size_t i, ComponentProblem component) {
         const std::size_t c = order[i];
         const auto& vars = *jobs[c].variables;
-        kinds[c] = pick_solver(vars.size(), jobs[c].constraints->size(),
-                               options.policy);
         obs::TraceSpan span("solve.component");
         span.arg("component", jobs[c].component_id)
             .arg("vars", vars.size())
-            .arg("rows", jobs[c].constraints->size())
-            .arg("solver", lcp::to_string(kinds[c]));
+            .arg("rows", jobs[c].constraints->size());
         // Extract, solve, scatter, release: at most two sub-problems per
         // lane are ever live (the staged one plus the solving one),
         // whatever the job count.
         lcp::LcpSolverConfig config;
         config.mmsim = options.mmsim;
         config.schur_coupling_breaks = &component.schur_coupling_breaks;
-        // Match the MMSIM stopping quality so the tiers agree on accuracy.
-        config.psor.tolerance = options.mmsim.tolerance;
-        config.psor.max_iterations = options.mmsim.max_iterations;
         // Warm start from the slot's previous solve when the shape still
         // matches: every solve here terminates on tolerance, so a warm
         // start only trims iterations (kOff/kMatch stay cold for their
         // bitwise contracts). Distinct jobs must hold distinct slots (the
         // caller's contract), so the parallel solves never share one.
         recovered[c] = lcp::solve_with_recovery(
-            kinds[c], component.qp, config, recovery, jobs[c].slot,
+            component.qp, config, recovery, jobs[c].slot,
             /*warm_start=*/true);
         span.arg("iterations", recovered[c].result.iterations)
             .arg("rung", lcp::to_string(recovered[c].rung))
@@ -381,21 +361,11 @@ ComponentSolveReport solve_components(const db::Design& design,
       });
 
   ComponentSolveReport report;
+  report.components_mmsim = num;
   const double chip_width = design.chip().width();
   for (std::size_t c = 0; c < num; ++c) {
     const std::vector<index_t>& vars = *jobs[c].variables;
     const lcp::RecoveredSolve& rec = recovered[c];
-    switch (kinds[c]) {
-      case lcp::LcpSolverKind::kMmsim:
-        ++report.components_mmsim;
-        break;
-      case lcp::LcpSolverKind::kPsor:
-        ++report.components_psor;
-        break;
-      case lcp::LcpSolverKind::kLemke:
-        ++report.components_lemke;
-        break;
-    }
     report.recovery.ladder_attempts += rec.attempts;
     report.recovery.extra_iterations += rec.wasted_iterations;
     if (rec.attempts > 1 || rec.rung != lcp::RecoveryRung::kPrimary)
@@ -429,8 +399,7 @@ ComponentSolveReport solve_components(const db::Design& design,
       } else {
         // A primary-only pass: the caller decides what follows (the
         // legalizer's escalated retry), so this is no ladder exhaustion.
-        MCH_LOG(kWarn) << "component " << failure.component << " ("
-                       << lcp::to_string(kinds[c]) << ", size "
+        MCH_LOG(kWarn) << "component " << failure.component << " (size "
                        << failure.num_variables + failure.num_constraints
                        << ") did not converge in " << failure.iterations
                        << " iterations";
@@ -614,15 +583,8 @@ MmsimLegalizerStats mmsim_legalize_continuous(
     ++stats.recovery.escalations;
     obs::counter("recovery.escalations").add();
     stats.recovery.extra_iterations += outcome.iterations;
-    lcp::MmsimOptions escalated = mmsim_options;
-    if (recovery.reprobe_theta && model.qp.num_constraints() > 0) {
-      const MmsimSolver probe(model.qp, mmsim_options);
-      escalated.theta = probe.suggest_theta();
-    }
-    if (recovery.relaxed_gamma > 0.0) escalated.gamma = recovery.relaxed_gamma;
-    escalated.max_iterations =
-        mmsim_options.max_iterations *
-        std::max<std::size_t>(1, recovery.budget_multiplier);
+    const lcp::MmsimOptions escalated =
+        lcp::escalate_mmsim_options(model.qp, mmsim_options, recovery);
     SolveOutcome retry = run_mode(escalated);
     if (retry.converged) {
       outcome = std::move(retry);

@@ -18,9 +18,8 @@
 //               monolithic iterates restricted to the component — this mode
 //               produces the exact monolithic result while parallelizing
 //               the otherwise-serial Thomas stage across components;
-//   * kTiered — per-component solver choice by SolverPolicy (exact Lemke
-//               pivoting for tiny components, PSOR for constraint-free
-//               ones, MMSIM otherwise) with independent termination: each
+//   * kTiered — per-component MMSIM with the exact active-set finisher
+//               (lcp::solve_mmsim) and independent termination: each
 //               component stops as soon as *it* converges, which is where
 //               the decomposition's iteration savings come from. Results
 //               agree with the monolithic solve to solver tolerance.
@@ -54,21 +53,10 @@ enum class PartitionMode {
   kAuto,
   kOff,     ///< monolithic solve — the pre-decomposition code path
   kMatch,   ///< lockstep per-component MMSIM, bitwise equal to kOff
-  kTiered,  ///< per-component solver policy + independent termination
+  kTiered,  ///< per-component MMSIM + finisher, independent termination
 };
 
 const char* to_string(PartitionMode mode);
-
-/// Per-component solver selection for PartitionMode::kTiered.
-struct SolverPolicy {
-  /// Components whose KKT LCP dimension (n + m) is at most this are solved
-  /// exactly by Lemke pivoting. 0 disables the Lemke tier.
-  std::size_t lemke_max_size = 32;
-  /// Constraint-free components (a lone cell between obstacles) are
-  /// bound-constrained QPs; solve them with PSOR instead of the saddle
-  /// MMSIM machinery.
-  bool psor_for_unconstrained = true;
-};
 
 /// Machine-readable record of one component (or the monolithic system) that
 /// exhausted every rung of the escalation ladder. The affected cells were
@@ -122,7 +110,6 @@ struct MmsimLegalizerOptions {
   ModelOptions model;        ///< λ penalty (paper: 1000)
   lcp::MmsimOptions mmsim;   ///< β*, θ*, γ, tolerance (paper: 0.5/0.5)
   PartitionMode partition = PartitionMode::kAuto;
-  SolverPolicy policy;       ///< used by PartitionMode::kTiered
   /// Solver scratch arena reused across components and across calls (see
   /// lcp/workspace.h). Not owned; must outlive the call. When null the
   /// legalizer uses a thread-local default arena, so repeated calls from
@@ -186,9 +173,7 @@ struct MmsimLegalizerStats {
   std::size_t max_component_size = 0;    ///< largest per-component n + m
   double mean_component_size = 0.0;
   std::size_t components_mmsim = 0;      ///< components solved by MMSIM
-  std::size_t components_psor = 0;       ///< ... by PSOR (kTiered only)
-  std::size_t components_lemke = 0;      ///< ... by Lemke (kTiered only)
-  /// Total iterations (or Lemke pivots) summed over components. Under
+  /// Total iterations summed over components. Under
   /// kTiered this is the decomposition's headline saving: components stop
   /// independently instead of all running to the slowest one's count.
   std::size_t component_iterations = 0;
@@ -226,14 +211,12 @@ struct ComponentSolveJob {
 };
 
 /// What solve_components did, in the same vocabulary as
-/// MmsimLegalizerStats: per-solver component counts, iteration max/sum,
-/// ladder activity, and the cells that had to be snap-clamped.
+/// MmsimLegalizerStats: component count, iteration max/sum, ladder
+/// activity, and the cells that had to be snap-clamped.
 struct ComponentSolveReport {
   std::size_t iterations = 0;            ///< max over jobs (critical path)
   std::size_t component_iterations = 0;  ///< summed over jobs
   std::size_t components_mmsim = 0;
-  std::size_t components_psor = 0;
-  std::size_t components_lemke = 0;
   /// Jobs whose accepted solve actually started from a matching warm-start
   /// payload in its slot.
   std::size_t warm_started = 0;
@@ -246,10 +229,10 @@ struct ComponentSolveReport {
   std::vector<std::size_t> clamped_cells;
 };
 
-/// Solves an explicit set of components of `model` — each through the
-/// tiered solver policy and the per-component escalation ladder — and
-/// scatters every primal solution into the global vector `x` (entries of
-/// other components are left untouched). Jobs run in parallel, largest
+/// Solves an explicit set of components of `model` — each by MMSIM with the
+/// finisher (lcp::solve_mmsim) under the per-component escalation ladder —
+/// and scatters every primal solution into the global vector `x` (entries
+/// of other components are left untouched). Jobs run in parallel, largest
 /// (n + m) first; each job's sub-problem is extracted, solved, scattered,
 /// and released inside its lane, with the next one staged while it solves,
 /// so at most two extractions per lane are live at a time. Each slot

@@ -9,7 +9,7 @@
 //   hits.add(1);
 //
 // Counter families use a label convention baked into the name:
-// "recovery.rung{rung=psor}". metrics_json() renders one top-level entry
+// "recovery.rung{rung=escalated}". metrics_json() renders one top-level entry
 // per full name; tools/trace_summary.py groups families by the base name.
 //
 // Histograms bucket by log2 of the value scaled to integer "ticks"
@@ -97,7 +97,7 @@ class Histogram {
 /// Look up (creating on first use) the instrument named `name`. The
 /// returned reference is stable for the process lifetime. Names should be
 /// lowercase dotted paths, with optional {key=value} labels:
-/// "session.eco.latency_seconds", "recovery.rung{rung=lemke}".
+/// "session.eco.latency_seconds", "recovery.rung{rung=cold_restart}".
 Counter& counter(std::string_view name);
 Gauge& gauge(std::string_view name);
 Histogram& histogram(std::string_view name);

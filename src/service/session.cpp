@@ -334,8 +334,6 @@ void LegalizationSession::run_incremental(const legal::PartitionDelta& delta,
   result.solver.max_component_size = partition_.max_component_size();
   result.solver.mean_component_size = partition_.mean_component_size();
   result.solver.components_mmsim = report.components_mmsim;
-  result.solver.components_psor = report.components_psor;
-  result.solver.components_lemke = report.components_lemke;
   result.solver.component_iterations = report.component_iterations;
   result.solver.simd_level = linalg::simd_level();
   result.solver.phase = report.phase;

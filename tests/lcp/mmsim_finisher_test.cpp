@@ -1,8 +1,10 @@
 // Tests of MMSIM's exact active-set finisher (MmsimSolver::solve_finished,
-// the production component path behind lcp::make_lcp_solver): accepted
+// the production component path behind lcp::solve_mmsim): accepted
 // results are the exact LCP solution, a rejected attempt leaves the
-// iteration untouched, the Algorithm 1 entry points never run it, and an
-// ECO stream served through it stays legal and thread-count independent.
+// iteration untouched, the Algorithm 1 entry points never run it, the
+// small and constraint-free components of an obstacle design match the
+// Lemke and PSOR references, and an ECO stream served through it stays
+// legal and thread-count independent.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,9 +16,11 @@
 #include "gen/generator.h"
 #include "lcp/lemke.h"
 #include "lcp/mmsim.h"
+#include "lcp/psor.h"
 #include "lcp/solver.h"
 #include "legal/flow.h"
 #include "legal/model.h"
+#include "legal/partition.h"
 #include "legal/row_assign.h"
 #include "obs/metrics.h"
 #include "runtime/runtime.h"
@@ -251,11 +255,76 @@ TEST(MmsimFinisherTest, RecoveryRungsFinishToo) {
   config.mmsim.residual_tolerance = 1e-10;
   RecoveryOptions recovery;
   recovery.forced_failures = 1;
-  const RecoveredSolve solved =
-      solve_with_recovery(LcpSolverKind::kMmsim, qp, config, recovery);
+  const RecoveredSolve solved = solve_with_recovery(qp, config, recovery);
   ASSERT_EQ(solved.rung, RecoveryRung::kEscalated);
   EXPECT_TRUE(solved.result.converged);
   EXPECT_TRUE(solved.result.finished);
+}
+
+TEST(MmsimFinisherTest, SmallAndUnconstrainedComponentsMatchOracles) {
+  // The components small enough for exact Lemke pivoting (n + m <= 32)
+  // and the constraint-free ones (m = 0, where the KKT LCP suits PSOR), on
+  // the 16-macro design of bench/ablation_obstacles: 18 of its 99
+  // components, 2 of them constraint-free. The production solve must
+  // accept each at its first attempt and agree with the reference solvers.
+  gen::GeneratorOptions opts;
+  opts.seed = 1;
+  opts.fixed_macros = 16;
+  opts.macro_height_rows = 6;
+  opts.macro_width_sites = 30.0;
+  db::Design design = gen::generate_random_design(9000, 1000, 0.6, opts);
+  legal::ConstraintPartition partition;
+  const legal::LegalizationModel model = legal::build_model(
+      design, legal::assign_rows(design), {}, &partition);
+
+  std::size_t small = 0;
+  std::size_t unconstrained = 0;
+  for (std::size_t c = 0; c < partition.num_components(); ++c) {
+    const auto& vars = partition.component_variables[c];
+    const auto& rows = partition.component_constraints[c];
+    const bool free = rows.empty();
+    if (vars.size() + rows.size() > 32 && !free) continue;
+    SCOPED_TRACE(c);
+    small += vars.size() + rows.size() <= 32 ? 1 : 0;
+    unconstrained += free ? 1 : 0;
+
+    const legal::ComponentProblem component =
+        model.component_problem(vars, rows);
+    LcpSolverConfig config;
+    config.schur_coupling_breaks = &component.schur_coupling_breaks;
+    const RecoveredSolve solved =
+        solve_with_recovery(component.qp, config, RecoveryOptions{});
+    ASSERT_EQ(solved.rung, RecoveryRung::kPrimary);
+    ASSERT_TRUE(solved.result.converged);
+    const Vector& x = solved.result.x;
+
+    const LemkeResult exact = solve_lemke(component.qp.to_dense_lcp(), 20000);
+    ASSERT_EQ(exact.status, LemkeStatus::kSolved);
+    const Vector lemke_x(exact.z.begin(),
+                         exact.z.begin() + static_cast<std::ptrdiff_t>(
+                                               vars.size()));
+    const double bound = 1e-6 * (1.0 + norm_inf(lemke_x));
+    ASSERT_EQ(x.size(), lemke_x.size());
+    for (std::size_t i = 0; i < x.size(); ++i)
+      EXPECT_NEAR(x[i], lemke_x[i], bound) << "x[" << i << "] vs Lemke";
+
+    if (free) {
+      // m = 0: the KKT LCP is LCP(p, K) with K SPD, PSOR's home ground.
+      const std::size_t n = vars.size();
+      DenseLcp bound_constrained;
+      bound_constrained.A = linalg::DenseMatrix(n, n);
+      for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t j = 0; j < n; ++j)
+          bound_constrained.A(i, j) = component.qp.K.entry(i, j);
+      bound_constrained.q = component.qp.p;
+      const PsorResult psor = solve_psor(bound_constrained);
+      ASSERT_TRUE(psor.converged);
+      for (std::size_t i = 0; i < n; ++i)
+        EXPECT_NEAR(x[i], psor.z[i], bound) << "x[" << i << "] vs PSOR";
+    }
+  }
+  EXPECT_GT(small, 0u);
+  EXPECT_GT(unconstrained, 0u);
 }
 
 /// Serves a fixed ECO stream on a 5k-cell committed-GP session and returns

@@ -13,6 +13,7 @@
 #include "lcp/workspace.h"
 #include "legal/model.h"
 #include "legal/partition.h"
+#include "obs/metrics.h"
 
 namespace mch::legal {
 namespace {
@@ -210,7 +211,7 @@ void expect_failures_equal(const SolveFailure& a, const SolveFailure& b) {
 
 // The tiered pass is solve_components over every component: a one-shot
 // tiered legalize in a fresh arena writes the same solution bits and the
-// same per-solver counts and iterations as calling it directly on the same
+// same component counts and iterations as calling it directly on the same
 // prebuilt model and partition. Recovery is off on both sides so the
 // fault-injection variant cannot send the legalizer into its escalated
 // retry.
@@ -248,11 +249,7 @@ TEST(MmsimLegalizerTest, TieredPassIsSolveComponentsOverEveryComponent) {
   EXPECT_TRUE(report.converged);
   EXPECT_EQ(solution, x);
   EXPECT_EQ(stats.components_mmsim, report.components_mmsim);
-  EXPECT_EQ(stats.components_psor, report.components_psor);
-  EXPECT_EQ(stats.components_lemke, report.components_lemke);
-  EXPECT_EQ(stats.components_mmsim + stats.components_psor +
-                stats.components_lemke,
-            partition.num_components());
+  EXPECT_EQ(stats.components_mmsim, partition.num_components());
   EXPECT_EQ(stats.iterations, report.iterations);
   EXPECT_EQ(stats.component_iterations, report.component_iterations);
   EXPECT_FALSE(stats.recovery.attempted());
@@ -261,9 +258,10 @@ TEST(MmsimLegalizerTest, TieredPassIsSolveComponentsOverEveryComponent) {
 // solve_components schedules its jobs largest-first but folds the report in
 // job order, and every result depends only on its job's QP and slot: the
 // same jobs handed over in reverse write the same x and the same report,
-// with the failure records in (reversed) job order. A 3-iteration budget
-// and a 64-wide Lemke rung make the ladder exhaust the large components
-// and recover small ones, so failures, clamps and recoveries all show.
+// with the failure records in (reversed) job order. A 16-iteration budget
+// (64 on the escalated rungs) makes the ladder exhaust 9 of the 27
+// components and rescue others at the escalated rung, so failures, clamps
+// and recoveries all show.
 TEST(MmsimLegalizerTest, SolveComponentsIndependentOfJobOrder) {
   db::Design design = gen::generate_scale_design(
       gen::ScaleVariant::kObstacleHeavy, 1200, 17);
@@ -272,16 +270,19 @@ TEST(MmsimLegalizerTest, SolveComponentsIndependentOfJobOrder) {
   const LegalizationModel model = build_model(design, rows, {}, &partition);
 
   MmsimLegalizerOptions options;
-  options.mmsim.max_iterations = 3;
-  lcp::RecoveryOptions ladder;
-  ladder.lemke_fallback_max_size = 64;
+  options.mmsim.max_iterations = 16;
+  const lcp::RecoveryOptions ladder;
 
+  obs::Counter& escalated_solves =
+      obs::counter("recovery.solved", "rung", "escalated");
+  const std::uint64_t escalated_before = escalated_solves.value();
   lcp::SolverWorkspace forward_arena;
   lcp::Vector forward_x(model.num_variables(), 0.0);
   const ComponentSolveReport forward =
       solve_components(design, model, every_component(partition,
                                                       forward_arena),
                        options, ladder, forward_x);
+  EXPECT_GT(escalated_solves.value(), escalated_before);
 
   lcp::SolverWorkspace reverse_arena;
   std::vector<ComponentSolveJob> reversed =
@@ -297,8 +298,6 @@ TEST(MmsimLegalizerTest, SolveComponentsIndependentOfJobOrder) {
   EXPECT_EQ(forward.iterations, reverse.iterations);
   EXPECT_EQ(forward.component_iterations, reverse.component_iterations);
   EXPECT_EQ(forward.components_mmsim, reverse.components_mmsim);
-  EXPECT_EQ(forward.components_psor, reverse.components_psor);
-  EXPECT_EQ(forward.components_lemke, reverse.components_lemke);
   EXPECT_EQ(forward.warm_started, reverse.warm_started);
   EXPECT_EQ(forward.converged, reverse.converged);
   EXPECT_EQ(forward.recovery.component_ladders,
@@ -345,8 +344,6 @@ TEST(MmsimLegalizerTest, TieredUnconvergedComponentsAreSnapClamped) {
   options.partition = PartitionMode::kTiered;
   options.recovery.enabled = false;
   options.mmsim.max_iterations = 1;
-  options.policy.lemke_max_size = 0;  // every component on MMSIM
-  options.policy.psor_for_unconstrained = false;
   options.workspace = &arena;
   const MmsimLegalizerStats stats =
       mmsim_legalize_continuous(design, rows, options);

@@ -189,9 +189,7 @@ TEST(PartitionTest, TieredMatchesMonolithicWithinTolerance) {
 
   ASSERT_GT(tiered.num_components, 1u);
   EXPECT_TRUE(tiered.converged);
-  EXPECT_EQ(tiered.components_mmsim + tiered.components_psor +
-                tiered.components_lemke,
-            tiered.num_components);
+  EXPECT_EQ(tiered.components_mmsim, tiered.num_components);
   // Independent termination: small components stop early, so the summed
   // iteration count beats every-component-runs-to-the-global-stop.
   EXPECT_LT(tiered.component_iterations,
@@ -216,7 +214,7 @@ TEST(PartitionTest, EnvResolvesAutoMode) {
   const MmsimLegalizerStats tiered =
       run_mode(base, PartitionMode::kAuto, scratch);
   EXPECT_GT(tiered.num_components, 1u);
-  EXPECT_GT(tiered.components_lemke + tiered.components_psor, 0u);
+  EXPECT_EQ(tiered.components_mmsim, tiered.num_components);
   ::unsetenv("MCH_PARTITION");
   EXPECT_GT(run_mode(base, PartitionMode::kAuto, scratch).num_components,
             1u);  // default: match

@@ -169,10 +169,6 @@ TEST_P(SurfacesFailurePerMode, OneIterationBudgetSurfacesNonConvergence) {
   options.partition = GetParam();
   options.mmsim.max_iterations = 1;
   options.recovery.enabled = false;
-  // Pin every tiered component onto MMSIM so the one-iteration budget is a
-  // guaranteed failure (Lemke's pivot budget is separate and would succeed).
-  options.policy.lemke_max_size = 0;
-  options.policy.psor_for_unconstrained = false;
   const MmsimLegalizerStats stats =
       mmsim_legalize_continuous(design, rows, options);
   EXPECT_FALSE(stats.converged);

@@ -72,16 +72,15 @@ def slowest_components(events, top_k):
     print(f"\ntop {min(top_k, len(solves))} slowest component solves "
           f"(of {len(solves)}):")
     print(f"  {'time':>13}  {'tid':>3} {'comp':>6} {'vars':>6} {'rows':>6} "
-          f"{'solver':<6} {'iters':>7} {'warm':>4} {'fin':>3}  other")
+          f"{'iters':>7} {'warm':>4} {'fin':>3}  other")
     for e in solves[:top_k]:
         args = dict(e.get("args", {}))
         cols = [args.pop(k, "-") for k in (
-            "component", "vars", "rows", "solver", "iterations", "warm",
-            "finished")]
+            "component", "vars", "rows", "iterations", "warm", "finished")]
         detail = ", ".join(f"{k}={v}" for k, v in args.items())
         print(f"  {fmt_ms(e['dur'])}  {e.get('tid', '?'):>3} {cols[0]:>6} "
-              f"{cols[1]:>6} {cols[2]:>6} {cols[3]:<6} {cols[4]:>7} "
-              f"{cols[5]:>4} {cols[6]:>3}  {detail}")
+              f"{cols[1]:>6} {cols[2]:>6} {cols[3]:>7} {cols[4]:>4} "
+              f"{cols[5]:>3}  {detail}")
 
 
 def metrics_summary(path):

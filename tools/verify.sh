@@ -43,7 +43,8 @@ echo "== recovery: fault-injected legal/lcp suites =="
 # every legalization solve exercises the escalation ladder and must still
 # meet its contracts; the plain legality/recovery regression suites ride
 # along for the checker fixes, and the finisher suite for the escalated
-# rungs it finishes.
+# rungs it finishes and the small components it holds to the Lemke/PSOR
+# oracles.
 (cd build && ctest -j2 --output-on-failure \
   -R '\.recovery$|RecoveryLadderTest|DegenerateDesignTest|LegalityTest|MmsimFinisherTest')
 
